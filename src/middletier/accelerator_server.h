@@ -25,7 +25,7 @@
 namespace smartds::middletier {
 
 /** The "Acc" baseline: NIC + discrete FPGA compression card. */
-class AcceleratorServer : public MiddleTierServer
+class AcceleratorServer : public RequestEngine
 {
   public:
     struct AccConfig
@@ -52,22 +52,30 @@ class AcceleratorServer : public MiddleTierServer
     host::CorePool &cores() { return cores_; }
 
   private:
-    void dispatch(net::Message msg);
-    sim::Process serveWrite(net::Message msg);
-    sim::Process serveRead(net::Message msg);
-    sim::Process serveReadEc(net::Message msg);
+    sim::Task<void> chargeWrite(WriteJob &job) override;
+    sim::Task<void> chargeParse(const net::Message &msg) override;
+    sim::Task<void> chargeCacheHit(const HotBlockCache::Entry &hit) override;
+    sim::Task<void> chargeEcDecode(const net::Message &msg, Bytes in,
+                                   Bytes out) override;
+    sim::Task<void> chargeDecompress(const net::Message &msg, Bytes in,
+                                     Bytes out) override;
+    void postToStorage(net::Message m, unsigned lane, bool first) override;
+    sim::Task<void> replyToVm(net::Message reply, unsigned port,
+                              bool cached) override;
 
-    sim::Simulator &sim_;
-    net::Fabric &fabric_;
+    /** The FPGA DMA-reads @p bytes from host memory through @p flow. */
+    sim::Task<void> dmaIn(Bytes bytes, sim::FairShareResource::Flow *flow,
+                          bool stall);
+    /** The FPGA DMA-writes @p bytes of results back to host memory. */
+    sim::Task<void> dmaOut(Bytes bytes);
+
     mem::MemorySystem &memory_;
-    ServerConfig config_;
     AccConfig acc_;
     std::unique_ptr<nic::RdmaNic> nic_;
     std::unique_ptr<pcie::PcieLink> fpgaPcie_;
     std::unique_ptr<pcie::DmaEngine> fpgaDma_;
     std::unique_ptr<sim::BandwidthServer> engine_;
     host::CorePool cores_;
-    Rng rng_;
 
     sim::FairShareResource::Flow *rxWrite_;
     sim::FairShareResource::Flow *fpgaRead_;

@@ -28,7 +28,7 @@
 namespace smartds::middletier {
 
 /** The "BF2" baseline: SoC SmartNIC with on-card Arm cores + engine. */
-class Bf2Server : public MiddleTierServer
+class Bf2Server : public RequestEngine
 {
   public:
     struct Bf2Config
@@ -56,14 +56,20 @@ class Bf2Server : public MiddleTierServer
     host::CorePool &armCores() { return arm_; }
 
   private:
-    void dispatch(unsigned port, net::Message msg);
-    sim::Process serveWrite(unsigned port, net::Message msg);
-    sim::Process serveRead(unsigned port, net::Message msg);
-    sim::Process serveReadEc(unsigned port, net::Message msg);
+    sim::Task<void> chargeWrite(WriteJob &job) override;
+    sim::Task<void> chargeParse(const net::Message &msg) override;
+    sim::Task<void> chargeCacheHit(const HotBlockCache::Entry &hit) override;
+    sim::Task<void> chargeEcDecode(const net::Message &msg, Bytes in,
+                                   Bytes out) override;
+    sim::Task<void> chargeDecompress(const net::Message &msg, Bytes in,
+                                     Bytes out) override;
+    void postToStorage(net::Message m, unsigned lane, bool first) override;
+    sim::Task<void> replyToVm(net::Message reply, unsigned port,
+                              bool cached) override;
 
-    sim::Simulator &sim_;
-    net::Fabric &fabric_;
-    ServerConfig config_;
+    /** Off-path engine trip: DRAM read -> engine -> DRAM write. */
+    sim::Task<void> engineTrip(Bytes in, Bytes engine, Bytes out);
+
     Bf2Config bf2_;
     std::vector<net::Port *> ports_;
     sim::FairShareResource devMemory_;
@@ -73,7 +79,6 @@ class Bf2Server : public MiddleTierServer
     sim::FairShareResource::Flow *txRead_;
     std::unique_ptr<sim::BandwidthServer> engine_;
     host::CorePool arm_;
-    Rng rng_;
     Tick armRequestCost_;
 };
 

@@ -14,7 +14,6 @@
 #define SMARTDS_MIDDLETIER_CPU_ONLY_SERVER_H_
 
 #include <memory>
-#include <unordered_map>
 
 #include "host/core_pool.h"
 #include "mem/memory_system.h"
@@ -25,7 +24,7 @@
 namespace smartds::middletier {
 
 /** The traditional software middle tier. */
-class CpuOnlyServer : public MiddleTierServer
+class CpuOnlyServer : public RequestEngine
 {
   public:
     CpuOnlyServer(net::Fabric &fabric, mem::MemorySystem &memory,
@@ -39,18 +38,26 @@ class CpuOnlyServer : public MiddleTierServer
     host::CorePool &cores() { return cores_; }
 
   private:
-    void dispatch(net::Message msg);
-    sim::Process serveWrite(net::Message msg);
-    sim::Process serveRead(net::Message msg);
-    sim::Process serveReadEc(net::Message msg);
+    sim::Task<void> chargeWrite(WriteJob &job) override;
+    sim::Task<void> chargeParse(const net::Message &msg) override;
+    sim::Task<void> chargeCacheHit(const HotBlockCache::Entry &hit) override;
+    sim::Task<void> chargeEcDecode(const net::Message &msg, Bytes in,
+                                   Bytes out) override;
+    sim::Task<void> chargeDecompress(const net::Message &msg, Bytes in,
+                                     Bytes out) override;
+    void postToStorage(net::Message m, unsigned lane, bool first) override;
+    sim::Task<void> replyToVm(net::Message reply, unsigned port,
+                              bool cached) override;
 
-    sim::Simulator &sim_;
-    net::Fabric &fabric_;
+    /**
+     * On one acquired core: run @p cpu ticks while @p in bytes stream in
+     * from host memory and @p out bytes stream back.
+     */
+    sim::Task<void> stream(Tick cpu, Bytes in, Bytes out);
+
     mem::MemorySystem &memory_;
-    ServerConfig config_;
     std::unique_ptr<nic::RdmaNic> nic_;
     host::CorePool cores_;
-    Rng rng_;
     /** Software compression time for one block on one configured core. */
     Tick compressTicksPerByte_;
 

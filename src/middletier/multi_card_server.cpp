@@ -100,7 +100,6 @@ MultiCardSmartDsServer::addUsageProbes(UsageProbes &probes)
                            sw->root().d2h().totalBytes());
                    });
     }
-    addFailoverProbes(probes);
 }
 
 std::uint64_t

@@ -1,6 +1,7 @@
 #include "middletier/server_base.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/checksum.h"
@@ -524,42 +525,419 @@ MiddleTierServer::encodeShards(const ServerConfig &config, std::uint64_t tag,
     return shards;
 }
 
-void
-MiddleTierServer::addFailoverProbes(UsageProbes &probes)
+RequestEngine::RequestEngine(net::Fabric &fabric, ServerConfig config)
+    : MiddleTierServer(fabric), sim_(fabric.simulator()),
+      config_(std::move(config)), rng_(config_.seed)
 {
-    const auto counter = [this](std::uint64_t FailoverStats::*field) {
-        return [this, field]() {
-            return static_cast<double>(failoverStats().*field);
+    initFailover(config_);
+}
+
+void
+RequestEngine::dispatch(net::Message msg, unsigned port)
+{
+    switch (msg.kind) {
+      case net::MessageKind::WriteRequest:
+        sim::spawn(sim_, serveWrite(std::move(msg), port));
+        break;
+      case net::MessageKind::WriteReplicaAck:
+        deliverAck(msg.tag, msg.src);
+        break;
+      case net::MessageKind::ReadRequest:
+        sim::spawn(sim_, serveRead(std::move(msg), port));
+        break;
+      case net::MessageKind::ReadFetchReply:
+        deliverFetch(std::move(msg));
+        break;
+      default:
+        panic("%s server: unexpected message kind %u", designName(design()),
+              static_cast<unsigned>(msg.kind));
+    }
+}
+
+namespace {
+
+/** Reply to request @p req: routing, tag and trace, no payload. */
+net::Message
+replyTo(const net::Message &req, net::MessageKind kind)
+{
+    net::Message reply;
+    reply.dst = req.src;
+    reply.dstQp = req.srcQp;
+    reply.kind = kind;
+    reply.headerBytes = StorageHeader::wireSize;
+    reply.tag = req.tag;
+    reply.issueTick = req.issueTick;
+    reply.trace = req.trace;
+    return reply;
+}
+
+net::Message
+readReply(const net::Message &req, Bytes size,
+          std::shared_ptr<const std::vector<std::uint8_t>> data,
+          double compressibility)
+{
+    net::Message reply = replyTo(req, net::MessageKind::ReadReply);
+    reply.payload.size = size;
+    reply.payload.data = std::move(data);
+    reply.payload.compressibility = compressibility;
+    return reply;
+}
+
+/** Storage fetch of read @p req from @p target, sized @p size_hint. */
+net::Message
+fetchFrom(const net::Message &req, net::NodeId target, Bytes size_hint)
+{
+    net::Message fetch;
+    fetch.dst = target;
+    fetch.kind = net::MessageKind::ReadFetch;
+    fetch.headerBytes = StorageHeader::wireSize;
+    fetch.tag = req.tag;
+    fetch.issueTick = req.issueTick;
+    fetch.payload.size = size_hint;
+    fetch.payload.compressibility = req.payload.compressibility;
+    fetch.payload.originalSize = req.payload.originalSize;
+    fetch.trace = req.trace;
+    return fetch;
+}
+
+} // namespace
+
+net::Payload
+RequestEngine::compressBlock(const net::Message &msg) const
+{
+    net::Payload block;
+    block.compressed = true;
+    block.originalSize = msg.payload.size;
+    block.compressibility = msg.payload.compressibility;
+    block.blockId = msg.payload.blockId;
+    if (!msg.payload.data) {
+        // Timing mode: the compressibility the corpus sampler attached.
+        block.size = std::max<Bytes>(
+            static_cast<Bytes>(static_cast<double>(msg.payload.size) *
+                               msg.payload.compressibility),
+            1);
+        return block;
+    }
+    // Corpus-backed payloads resolve to the precomputed compressed buffer
+    // (hash-guarded: mutated bytes fall through to the codec).
+    const std::vector<std::uint8_t> &plain = *msg.payload.data;
+    const corpus::BlockCodecCache::Entry *cached =
+        config_.blockCache
+            ? config_.blockCache->lookupPlain(msg.payload.blockId,
+                                              plain.data(), plain.size())
+            : nullptr;
+    block.data = cached ? cached->compressed
+                        : std::make_shared<const std::vector<std::uint8_t>>(
+                              lz4::compress(plain, config_.effort));
+    block.size = block.data->size();
+    return block;
+}
+
+Bytes
+RequestEngine::encodeStripe(WriteJob &job)
+{
+    job.shards = encodeShards(config_, job.msg.tag, job.block);
+    return job.shards.front().size * static_cast<Bytes>(job.shards.size());
+}
+
+sim::Process
+RequestEngine::serveWrite(net::Message msg, unsigned port)
+{
+    // Write-through coherence: the cached copy goes stale the moment the
+    // write is accepted, before any concurrent read can hit it.
+    if (cacheInvalidate(msg.vmId, msg.blockOffset))
+        span(msg.trace, trace::Stage::CacheInvalidate, sim_.now());
+
+    WriteJob job{msg, compressBlock(msg), {}};
+    co_await chargeWrite(job);
+
+    // Each replica (or RS shard) runs its own failover loop (timeout,
+    // retry, re-placement); the VM is acknowledged once the quorum is
+    // durable.
+    Placement placement = placeWrite(config_, msg, rng_);
+    auto nodes =
+        std::make_shared<std::vector<net::NodeId>>(std::move(placement.nodes));
+    const unsigned quorum = writeQuorum(config_, nodes->size());
+    auto quorum_acks = std::make_shared<sim::CountLatch>(sim_, quorum);
+    auto all_acks = std::make_shared<sim::CountLatch>(
+        sim_, static_cast<unsigned>(nodes->size()));
+    const Tick replicate_start = sim_.now();
+
+    const bool ec = config_.policy == ReplicationPolicy::ErasureCode;
+    for (unsigned r = 0; r < nodes->size(); ++r) {
+        // Under EC, slot r carries shard r of the stripe; under
+        // replication it carries a whole-block copy.
+        net::Message replica;
+        replica.kind = net::MessageKind::WriteReplica;
+        replica.headerBytes = StorageHeader::wireSize;
+        replica.tag = msg.tag;
+        replica.issueTick = msg.issueTick;
+        replica.trace = msg.trace;
+        replica.payload = ec ? job.shards[r] : job.block;
+        replica.headerData = msg.headerData;
+
+        ReplicaTask task;
+        task.tag = msg.tag;
+        task.blockBytes = replica.payload.size;
+        task.target = (*nodes)[r];
+        task.slot = r;
+        task.ec = ec;
+        task.vmId = msg.vmId;
+        task.blockOffset = msg.blockOffset;
+        task.placement = nodes;
+        task.chunk = placement.chunk;
+        task.chunked = placement.chunked;
+        task.quorumLatch = quorum_acks;
+        task.allLatch = all_acks;
+        task.send = [this, replica, lane = port + r,
+                     first = (r == 0)](net::NodeId dst) mutable {
+            net::Message m = replica;
+            m.dst = dst;
+            postToStorage(std::move(m), lane, first);
+            first = false;
         };
-    };
-    probes.add("failover.timeouts", counter(&FailoverStats::replicaTimeouts));
-    probes.add("failover.retries", counter(&FailoverStats::replicaRetries));
-    probes.add("failover.replacements",
-               counter(&FailoverStats::replicaReplacements));
-    probes.add("failover.abandoned",
-               counter(&FailoverStats::replicasAbandoned));
-    probes.add("failover.suspected", counter(&FailoverStats::nodesSuspected));
-    probes.add("failover.quorum_completions",
-               counter(&FailoverStats::quorumCompletions));
-    probes.add("failover.corruptions",
-               counter(&FailoverStats::corruptionsDetected));
-    probes.add("failover.read_failovers",
-               counter(&FailoverStats::readFailovers));
-    probes.add("ec.stripes_encoded", counter(&FailoverStats::stripesEncoded));
-    probes.add("ec.degraded_reads", counter(&FailoverStats::degradedReads));
-    probes.add("replica.bytes_sent",
-               counter(&FailoverStats::replicaBytesSent));
-    const auto cache = [this](std::uint64_t HotBlockCache::Stats::*field) {
-        return [this, field]() {
-            return static_cast<double>(readCacheStats().*field);
+        // The send closure is self-contained (it shares the compressed
+        // bytes), so a deferred background repair can simply re-run it.
+        task.makeRepair = [send = task.send](net::NodeId dst) {
+            return [send, dst]() mutable { send(dst); };
         };
-    };
-    probes.add("cache.hits", cache(&HotBlockCache::Stats::hits));
-    probes.add("cache.misses", cache(&HotBlockCache::Stats::misses));
-    probes.add("cache.hit_bytes", cache(&HotBlockCache::Stats::hitBytes));
-    probes.add("cache.evictions", cache(&HotBlockCache::Stats::evictions));
-    probes.add("cache.invalidations",
-               cache(&HotBlockCache::Stats::invalidations));
+        sim::spawn(sim_, replicateWithFailover(sim_, rng_, config_,
+                                               std::move(task)));
+    }
+    co_await quorum_acks->wait();
+    span(msg.trace, trace::Stage::Replicate, replicate_start,
+         static_cast<std::uint32_t>(nodes->size()));
+    if (!all_acks->wait().done())
+        ++failover_.quorumCompletions;
+
+    co_await replyToVm(replyTo(msg, net::MessageKind::WriteReply), port,
+                       false);
+    noteCompleted(msg.payload.size);
+}
+
+sim::Process
+RequestEngine::serveRead(net::Message msg, unsigned port)
+{
+    co_await chargeParse(msg);
+
+    // Hot-block cache: a hit serves the verified plaintext, skipping the
+    // storage fetch and decompression.
+    if (readCache_) {
+        if (const HotBlockCache::Entry *hit =
+                readCache_->lookup(msg.vmId, msg.blockOffset)) {
+            // Snapshot the entry: the lookup pointer dies if another
+            // request inserts or invalidates while we are suspended.
+            const HotBlockCache::Entry cached = *hit;
+            const Tick hit_start = sim_.now();
+            co_await chargeCacheHit(cached);
+            span(msg.trace, trace::Stage::CacheHit, hit_start);
+            co_await replyToVm(readReply(msg, cached.plainSize, cached.plain,
+                                         cached.compressibility),
+                               port, true);
+            co_return;
+        }
+        span(msg.trace, trace::Stage::CacheMiss, sim_.now());
+    }
+
+    Fetched block;
+    if (config_.policy == ReplicationPolicy::ErasureCode)
+        block = co_await fetchStripe(msg, port);
+    else
+        block = co_await fetchReplica(msg, port);
+    co_await chargeDecompress(msg, block.stored, block.plain);
+
+    // Keep the verified plaintext for future hits on this block.
+    if (block.served && readCache_)
+        readCache_->insert(msg.vmId, msg.blockOffset,
+                           {block.plain, block.compressibility, block.data});
+    co_await replyToVm(readReply(msg, block.plain, block.data,
+                                 block.compressibility),
+                       port, false);
+}
+
+sim::Task<RequestEngine::Fetched>
+RequestEngine::fetchReplica(const net::Message &msg, unsigned port)
+{
+    // Fetch the block from a storage server holding it (Fig. 3b). Crashed
+    // or slow replicas time out and the fetch fails over; corrupt data is
+    // caught by the end-to-end checksum and served from another replica.
+    const auto candidates = readCandidates(config_, msg);
+    SMARTDS_CHECK(!candidates.empty(), "read with no storage candidates");
+    const std::size_t start = rng_.below(candidates.size());
+
+    Fetched out;
+    net::Message stored;
+    for (std::size_t a = 0; a < candidates.size() && !out.served; ++a) {
+        const net::NodeId target =
+            candidates[(start + a) % candidates.size()];
+        sim::Completion fetched =
+            expectFetch(sim_, msg.tag, config_.failover.ackTimeout);
+        postToStorage(fetchFrom(msg, target, msg.payload.size),
+                      port + static_cast<unsigned>(a), false);
+        if (co_await fetched == 0) {
+            ++failover_.readFailovers;
+            if (health_.noteTimeout(target))
+                ++failover_.nodesSuspected;
+            continue;
+        }
+        health_.noteAck(target);
+
+        net::Message candidate = takeFetchReply(msg.tag);
+        // End-to-end integrity: decompress, then verify the checksum the
+        // VM stamped into the storage header at write time.
+        const VerifiedBlock verified = verifyFetchedBlock(config_, candidate);
+        out.data = verified.plain;
+        if (verified.corrupt) {
+            ++failover_.corruptionsDetected;
+            ++failover_.readFailovers;
+            // Checksum failover is a cache coherence point: drop any
+            // cached copy of the block rather than trust it outlived
+            // whatever corrupted the replica.
+            if (cacheInvalidate(msg.vmId, msg.blockOffset))
+                span(msg.trace, trace::Stage::CacheInvalidate, sim_.now());
+            continue;
+        }
+        stored = std::move(candidate);
+        out.served = true;
+    }
+    if (!out.served)
+        ++failover_.readsUnserved;
+
+    out.stored = std::max<Bytes>(
+        out.served ? stored.payload.size : msg.payload.size, 1);
+    out.plain = std::max<Bytes>(
+        stored.payload.originalSize
+            ? stored.payload.originalSize
+            : (msg.payload.originalSize ? msg.payload.originalSize
+                                        : out.stored),
+        1);
+    out.compressibility = stored.payload.compressibility;
+    co_return out;
+}
+
+sim::Task<RequestEngine::Fetched>
+RequestEngine::fetchStripe(const net::Message &msg, unsigned port)
+{
+    // Probe the pool for any k healthy shards of the stripe, then
+    // reassemble: concat when the k data shards answered, RS decode from
+    // parity otherwise. Each shard probe reuses the read-path
+    // timeout/health machinery.
+    const ec::RsCodec &codec = ecCodec(config_);
+    const unsigned k = codec.k();
+    const auto candidates = readCandidates(config_, msg);
+    SMARTDS_CHECK(candidates.size() >= k,
+                  "EC read needs %u storage nodes, have %zu", k,
+                  candidates.size());
+    const std::size_t ring_start = rng_.below(candidates.size());
+
+    // Shard-size hint for timing-mode storage synthesis: the client's
+    // compressed-size hint (or compressibility estimate) split k ways.
+    const Bytes stripe_hint = std::max<Bytes>(
+        msg.payload.size
+            ? msg.payload.size
+            : static_cast<Bytes>(
+                  static_cast<double>(msg.payload.originalSize) *
+                  msg.payload.compressibility),
+        1);
+    const Bytes shard_hint = ec::RsCodec::shardSize(stripe_hint, k);
+
+    // Collected shards: index + reply (bytes in functional mode).
+    std::vector<unsigned> shard_idx;
+    std::vector<net::Message> shard_msgs;
+    bool degraded = false;
+    const Tick collect_start = sim_.now();
+    for (std::size_t a = 0; a < candidates.size() && shard_idx.size() < k;
+         ++a) {
+        const net::NodeId target =
+            candidates[(ring_start + a) % candidates.size()];
+        net::Message fetch = fetchFrom(msg, target, shard_hint);
+        fetch.payload.ecK = static_cast<std::uint8_t>(k);
+        fetch.payload.ecM = static_cast<std::uint8_t>(codec.m());
+        fetch.payload.ecShard = static_cast<std::uint8_t>(
+            std::min<std::size_t>(shard_idx.size(), codec.n() - 1));
+        fetch.payload.ecStripeBytes = stripe_hint;
+
+        sim::Completion fetched =
+            expectFetch(sim_, msg.tag, config_.failover.ackTimeout);
+        postToStorage(std::move(fetch), port + static_cast<unsigned>(a),
+                      false);
+        if (co_await fetched == 0) {
+            ++failover_.readFailovers;
+            degraded = true;
+            if (health_.noteTimeout(target))
+                ++failover_.nodesSuspected;
+            continue;
+        }
+        health_.noteAck(target);
+
+        net::Message candidate = takeFetchReply(msg.tag);
+        if (candidate.payload.ecK == 0) {
+            // Functional mode: this node holds no shard of the stripe
+            // (the stub reply) — normal when probing the whole pool.
+            degraded = true;
+            continue;
+        }
+        if (candidate.payload.corrupted ||
+            (candidate.payload.data &&
+             xxhash32(*candidate.payload.data) !=
+                 candidate.payload.ecShardChecksum)) {
+            ++failover_.corruptionsDetected;
+            ++failover_.readFailovers;
+            degraded = true;
+            continue;
+        }
+        const unsigned idx = candidate.payload.ecShard;
+        if (std::find(shard_idx.begin(), shard_idx.end(), idx) !=
+            shard_idx.end())
+            continue; // duplicate shard index (repaired copy)
+        shard_idx.push_back(idx);
+        shard_msgs.push_back(std::move(candidate));
+    }
+    span(msg.trace, trace::Stage::DegradedRead, collect_start,
+         static_cast<std::uint32_t>(shard_idx.size()));
+
+    const bool have = shard_idx.size() >= k;
+    if (!have)
+        ++failover_.readsUnserved;
+    const bool systematic =
+        have && std::all_of(shard_idx.begin(), shard_idx.end(),
+                            [k](unsigned i) { return i < k; });
+    if (have && (degraded || !systematic))
+        ++failover_.degradedReads;
+
+    const net::Message *stored = have ? &shard_msgs.front() : nullptr;
+    const Bytes stripe_bytes = std::max<Bytes>(
+        stored ? stored->payload.ecStripeBytes : stripe_hint, 1);
+    if (have && !systematic)
+        co_await chargeEcDecode(
+            msg,
+            ec::RsCodec::shardSize(stripe_bytes, k) * static_cast<Bytes>(k),
+            stripe_bytes);
+
+    Fetched out;
+    out.served = have;
+    if (stored && stored->payload.data) {
+        // Functional reassembly, byte for byte; the recovered stripe is
+        // decompressed and verified against the write-time checksum.
+        const VerifiedBlock recovered =
+            decodeEcStripe(config_, shard_idx, shard_msgs, stripe_bytes);
+        out.served = !recovered.corrupt;
+        out.data = recovered.plain;
+        if (recovered.corrupt) {
+            ++failover_.corruptionsDetected;
+            ++failover_.readsUnserved;
+            if (cacheInvalidate(msg.vmId, msg.blockOffset))
+                span(msg.trace, trace::Stage::CacheInvalidate, sim_.now());
+        }
+    }
+    out.stored = stripe_bytes;
+    out.plain = std::max<Bytes>(
+        stored && stored->payload.originalSize ? stored->payload.originalSize
+                                               : msg.payload.originalSize,
+        1);
+    out.compressibility = stored ? stored->payload.compressibility
+                                 : msg.payload.compressibility;
+    co_return out;
 }
 
 } // namespace smartds::middletier

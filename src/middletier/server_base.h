@@ -9,6 +9,10 @@
  * replicateWithFailover() retry/re-placement loop, a NodeHealthView fed
  * by timeout observations, and the counters benchmarks and tests use to
  * observe failovers.
+ *
+ * RequestEngine, below, is the request state machine itself — one write
+ * pipeline and one read pipeline — shared by the CPU-only, Acc and BF2
+ * designs, which only supply hooks that charge their datapath.
  */
 
 #ifndef SMARTDS_MIDDLETIER_SERVER_BASE_H_
@@ -260,6 +264,26 @@ class MiddleTierServer
     }
 
   protected:
+    MiddleTierServer() = default;
+    /** Servers that record trace spans name the fabric they serve. */
+    explicit MiddleTierServer(net::Fabric &fabric) : fabric_(&fabric) {}
+
+    /**
+     * Record the span [@p start, now] of @p stage for a sampled request
+     * (no-op when tracing is off or the request is not sampled). A plain
+     * call rather than a scope guard: early-return paths must not record
+     * a stage that never ran.
+     */
+    void
+    span(const trace::TraceContext &tctx, trace::Stage stage, Tick start,
+         std::uint32_t depth = 0) const
+    {
+        if (!tctx || !fabric_)
+            return;
+        if (trace::Tracer *t = fabric_->tracer())
+            t->record(tctx, stage, start, fabric_->simulator().now(), depth);
+    }
+
     /** One write replica's placement, as handed to the failover loop. */
     struct Placement
     {
@@ -550,9 +574,6 @@ class MiddleTierServer
 #endif
     }
 
-    /** Register the failover counters with @p probes. */
-    void addFailoverProbes(UsageProbes &probes);
-
     FailoverStats failover_;
     NodeHealthView health_;
     MaintenanceService *maintenance_ = nullptr;
@@ -560,6 +581,8 @@ class MiddleTierServer
     std::unique_ptr<HotBlockCache> readCache_;
 
   private:
+    net::Fabric *fabric_ = nullptr;
+
     struct AckKey
     {
         std::uint64_t tag;
@@ -600,6 +623,111 @@ class MiddleTierServer
 #if SMARTDS_CHECKED_BUILD
     std::map<std::uint64_t, std::vector<bool>> ecLedger_;
 #endif
+};
+
+/**
+ * The request state machine of the CPU-only, Acc and BF2 designs.
+ *
+ * The write pipeline invalidates the cached copy, compresses functional
+ * bytes (codec cache or LZ4), charges the design's write datapath (which
+ * RS-encodes under EC via encodeStripe()), places the block, fans out one
+ * replicateWithFailover() task per replica or shard, waits for the write
+ * quorum and acknowledges the VM. The read pipeline charges the parse,
+ * serves hot-block cache hits, otherwise gathers the first verified
+ * replica or any k checksum-clean shards (failing over and updating node
+ * health), decodes the stripe, charges decompression, fills the cache
+ * and replies.
+ *
+ * A design supplies only the hooks below, which charge its datapath
+ * resources and record its datapath spans. Hooks are sim::Tasks, so
+ * awaiting one adds no simulator event: the event stream is exactly the
+ * one the design's hand-written pipeline used to produce.
+ */
+class RequestEngine : public MiddleTierServer
+{
+  protected:
+    RequestEngine(net::Fabric &fabric, ServerConfig config);
+
+    /** One write between compression and replication. */
+    struct WriteJob
+    {
+        const net::Message &msg;
+        /** The compressed block (real bytes on the functional path). */
+        net::Payload block;
+        /** The block's k + m RS shards (EC policy, after encodeStripe). */
+        std::vector<net::Payload> shards;
+    };
+
+    /** Route one arriving message; @p port is the front port it used. */
+    void dispatch(net::Message msg, unsigned port = 0);
+
+    /**
+     * RS-encode @p job's block into its k + m shards (called by the write
+     * hook at the point its datapath runs the encoder); returns the total
+     * shard bytes the encoder writes out.
+     */
+    Bytes encodeStripe(WriteJob &job);
+
+    // --- datapath hooks ----------------------------------------------
+
+    /** Charge compressing @p job's payload and, under EC, encoding it. */
+    virtual sim::Task<void> chargeWrite(WriteJob &job) = 0;
+
+    /** Charge parsing the header of request @p msg (reads start here). */
+    virtual sim::Task<void> chargeParse(const net::Message &msg) = 0;
+
+    /** Charge serving @p hit from the hot-block cache. */
+    virtual sim::Task<void> chargeCacheHit(const HotBlockCache::Entry &hit) = 0;
+
+    /** Charge RS-decoding @p in shard bytes into an @p out-byte stripe. */
+    virtual sim::Task<void> chargeEcDecode(const net::Message &msg, Bytes in,
+                                           Bytes out) = 0;
+
+    /** Charge decompressing @p in stored bytes into @p out plain bytes. */
+    virtual sim::Task<void> chargeDecompress(const net::Message &msg,
+                                             Bytes in, Bytes out) = 0;
+
+    /**
+     * Send @p m (a replica or a fetch) toward storage. @p lane counts the
+     * request's storage sends from its front port (multi-port designs
+     * rotate over their ports); @p first marks the first send of the
+     * block's first replica, the one that reads the block from memory.
+     */
+    virtual void postToStorage(net::Message m, unsigned lane, bool first) = 0;
+
+    /**
+     * Send @p reply to the VM through front port @p port. @p cached: the
+     * payload comes from the hot-block cache and chargeCacheHit() already
+     * paid for reading it.
+     */
+    virtual sim::Task<void> replyToVm(net::Message reply, unsigned port,
+                                      bool cached) = 0;
+
+    sim::Simulator &sim_;
+    ServerConfig config_;
+    Rng rng_;
+
+  private:
+    /** A read's block as gathered (and, under EC, reassembled). */
+    struct Fetched
+    {
+        bool served = false;
+        /** Stored (compressed) bytes the datapath decompresses. */
+        Bytes stored = 0;
+        /** Plain bytes the reply carries. */
+        Bytes plain = 0;
+        double compressibility = 0.0;
+        std::shared_ptr<const std::vector<std::uint8_t>> data;
+    };
+
+    sim::Process serveWrite(net::Message msg, unsigned port);
+    sim::Process serveRead(net::Message msg, unsigned port);
+    /** Gather the first replica that verifies end to end. */
+    sim::Task<Fetched> fetchReplica(const net::Message &msg, unsigned port);
+    /** Gather any k checksum-clean shards and reassemble the stripe. */
+    sim::Task<Fetched> fetchStripe(const net::Message &msg, unsigned port);
+    /** The compressed block for write @p msg (no simulated cost). */
+    net::Payload compressBlock(const net::Message &msg) const;
 };
 
 } // namespace smartds::middletier

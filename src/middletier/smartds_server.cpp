@@ -15,7 +15,8 @@ using device::SmartDsDevice;
 
 SmartDsServer::SmartDsServer(net::Fabric &fabric, mem::MemorySystem &memory,
                              ServerConfig config, SmartDsConfig smartds)
-    : sim_(fabric.simulator()), fabric_(fabric), config_(std::move(config)),
+    : MiddleTierServer(fabric), sim_(fabric.simulator()),
+      config_(std::move(config)),
       smartds_(smartds),
       cores_(sim_, "smartds.cores", config_.cores),
       rng_(config_.seed)
@@ -74,7 +75,6 @@ SmartDsServer::addUsageProbes(UsageProbes &probes)
     probes.add("pcie.smartds.d2h", [this]() {
         return static_cast<double>(device_->pcieLink().d2h().totalBytes());
     });
-    addFailoverProbes(probes);
 }
 
 sim::Process
@@ -148,7 +148,6 @@ SmartDsServer::worker(unsigned port)
         const Bytes payload_size = recv.size();
         SMARTDS_CHECK(recv.message, "recv completed without a message");
         const net::Message &req = *recv.message;
-        trace::Tracer *tracer = fabric_.tracer();
         const trace::TraceContext tctx = req.trace;
 
         // --- Host CPU: flexibly parse the header, prepare the send -----
@@ -156,9 +155,7 @@ SmartDsServer::worker(unsigned port)
             static_cast<std::uint32_t>(cores_.queueDepth());
         const Tick parse_start = sim_.now();
         co_await cores_.executeAsync(calibration::smartdsHostRequestCost);
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::HostParse, parse_start,
-                           sim_.now(), parse_depth);
+        span(tctx, trace::Stage::HostParse, parse_start, parse_depth);
         bool latency_sensitive = req.latencySensitive;
         std::uint64_t tag = req.tag;
         if (device_->config().functional && h_recv->bytes()) {
@@ -206,9 +203,7 @@ SmartDsServer::worker(unsigned port)
                     d_recv->content = device::BufferContent{};
                     d_recv->content.size = cached.plainSize;
                     d_recv->content.compressibility = cached.compressibility;
-                    if (tracer && tctx)
-                        tracer->record(tctx, trace::Stage::CacheHit,
-                                       hit_start, sim_.now());
+                    span(tctx, trace::Stage::CacheHit, hit_start);
                     device_->connect(reply_qp, req.src, req.srcQp);
                     auto reply = device_->mixedSend(
                         reply_qp, h_send, StorageHeader::wireSize, d_recv,
@@ -217,9 +212,7 @@ SmartDsServer::worker(unsigned port)
                     co_await reply.completion;
                     continue;
                 }
-                if (tracer && tctx)
-                    tracer->record(tctx, trace::Stage::CacheMiss, sim_.now(),
-                                   sim_.now());
+                span(tctx, trace::Stage::CacheMiss, sim_.now());
             }
             const ec::RsCodec &codec = ecCodec(config_);
             const unsigned k = codec.k();
@@ -308,10 +301,8 @@ SmartDsServer::worker(unsigned port)
                 if (shard_corrupt) {
                     ++failover_.corruptionsDetected;
                     ++failover_.readFailovers;
-                    if (cacheInvalidate(req.vmId, req.blockOffset) &&
-                        tracer && tctx)
-                        tracer->record(tctx, trace::Stage::CacheInvalidate,
-                                       sim_.now(), sim_.now());
+                    if (cacheInvalidate(req.vmId, req.blockOffset))
+                        span(tctx, trace::Stage::CacheInvalidate, sim_.now());
                     degraded = true;
                     continue;
                 }
@@ -324,10 +315,8 @@ SmartDsServer::worker(unsigned port)
                     stripe_bytes = rep->payload.ecStripeBytes;
                 got.emplace_back(idx, dest);
             }
-            if (tracer && tctx)
-                tracer->record(tctx, trace::Stage::DegradedRead,
-                               collect_start, sim_.now(),
-                               static_cast<std::uint32_t>(got.size()));
+            span(tctx, trace::Stage::DegradedRead, collect_start,
+                 static_cast<std::uint32_t>(got.size()));
 
             const bool have = got.size() >= k;
             bool systematic = have;
@@ -363,10 +352,8 @@ SmartDsServer::worker(unsigned port)
                 if (corrupt) {
                     ++failover_.corruptionsDetected;
                     ++failover_.readsUnserved;
-                    if (cacheInvalidate(req.vmId, req.blockOffset) &&
-                        tracer && tctx)
-                        tracer->record(tctx, trace::Stage::CacheInvalidate,
-                                       sim_.now(), sim_.now());
+                    if (cacheInvalidate(req.vmId, req.blockOffset))
+                        span(tctx, trace::Stage::CacheInvalidate, sim_.now());
                 } else {
                     plain_size = plain.size();
                     served = true;
@@ -430,9 +417,7 @@ SmartDsServer::worker(unsigned port)
                     d_recv->content = device::BufferContent{};
                     d_recv->content.size = cached.plainSize;
                     d_recv->content.compressibility = cached.compressibility;
-                    if (tracer && tctx)
-                        tracer->record(tctx, trace::Stage::CacheHit,
-                                       hit_start, sim_.now());
+                    span(tctx, trace::Stage::CacheHit, hit_start);
                     device_->connect(reply_qp, req.src, req.srcQp);
                     auto reply = device_->mixedSend(
                         reply_qp, h_send, StorageHeader::wireSize, d_recv,
@@ -441,9 +426,7 @@ SmartDsServer::worker(unsigned port)
                     co_await reply.completion;
                     continue;
                 }
-                if (tracer && tctx)
-                    tracer->record(tctx, trace::Stage::CacheMiss, sim_.now(),
-                                   sim_.now());
+                span(tctx, trace::Stage::CacheMiss, sim_.now());
             }
             const auto candidates = readCandidates(config_, req);
             const std::size_t start =
@@ -508,10 +491,8 @@ SmartDsServer::worker(unsigned port)
                 if (corrupt) {
                     ++failover_.corruptionsDetected;
                     ++failover_.readFailovers;
-                    if (cacheInvalidate(req.vmId, req.blockOffset) &&
-                        tracer && tctx)
-                        tracer->record(tctx, trace::Stage::CacheInvalidate,
-                                       sim_.now(), sim_.now());
+                    if (cacheInvalidate(req.vmId, req.blockOffset))
+                        span(tctx, trace::Stage::CacheInvalidate, sim_.now());
                     continue;
                 }
                 plain_size = plain.size();
@@ -545,11 +526,8 @@ SmartDsServer::worker(unsigned port)
         // --- Write path (Listing 1) -------------------------------------
         // Write-through coherence: drop the cached copy before serving
         // the write, so no concurrent read can hit stale bytes.
-        if (cacheInvalidate(req.vmId, req.blockOffset)) {
-            if (tracer && tctx)
-                tracer->record(tctx, trace::Stage::CacheInvalidate,
-                               sim_.now(), sim_.now());
-        }
+        if (cacheInvalidate(req.vmId, req.blockOffset))
+            span(tctx, trace::Stage::CacheInvalidate, sim_.now());
         device::BufferRef send_buf = d_recv;
         Bytes send_size = payload_size;
         if (!latency_sensitive) {
@@ -656,10 +634,8 @@ SmartDsServer::worker(unsigned port)
                                                    std::move(task)));
         }
         co_await quorum_acks->wait();
-        if (tracer && tctx)
-            tracer->record(tctx, trace::Stage::Replicate, replicate_start,
-                           sim_.now(),
-                           static_cast<std::uint32_t>(nodes->size()));
+        span(tctx, trace::Stage::Replicate, replicate_start,
+             static_cast<std::uint32_t>(nodes->size()));
         if (!all_acks->wait().done())
             ++failover_.quorumCompletions;
 

@@ -68,7 +68,6 @@ class SmartDsServer : public MiddleTierServer
                                Bytes size, std::uint64_t tag, Tick issue);
 
     sim::Simulator &sim_;
-    net::Fabric &fabric_;
     ServerConfig config_;
     SmartDsConfig smartds_;
     std::unique_ptr<device::SmartDsDevice> device_;

@@ -15,6 +15,9 @@
  *   sim::spawn(sim, serveOne(sim, ...));
  * @endcode
  *
+ * A Task<T> is the awaitable counterpart: a lazy coroutine a Process (or
+ * another Task) co_awaits like a function call, at no event cost.
+ *
  * Completion mirrors the asynchronous events returned by the SmartDS API
  * (Table 2 of the paper): it carries a 64-bit value (e.g. a byte count)
  * and wakes every awaiting process when complete() is called.
@@ -35,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -81,6 +85,111 @@ class Process
     }
 
   private:
+    std::coroutine_handle<promise_type> handle_;
+};
+
+namespace detail {
+
+/** Where a Task's promise keeps its result (nothing for Task<void>). */
+template <typename T>
+struct TaskResult
+{
+    std::optional<T> value;
+    void return_value(T v) { value = std::move(v); }
+    T take() { return std::move(*value); }
+};
+
+template <>
+struct TaskResult<void>
+{
+    void return_void() {}
+    void take() {}
+};
+
+} // namespace detail
+
+/**
+ * Lazily started coroutine returning a T to the one coroutine that
+ * awaits it. Unlike spawn() or Completion::complete(), awaiting a Task
+ * schedules nothing: co_await transfers control straight into the body
+ * and, when the body finishes, straight back to the awaiter. A Task is
+ * therefore exactly equivalent to writing its body inline — same events,
+ * same sequence numbers, same dsan state hash — which lets a shared
+ * coroutine call per-component hooks without perturbing the event
+ * stream. The frame is owned by the Task object and freed with it.
+ *
+ * @code
+ *   sim::Task<Bytes> charge(sim::Simulator &sim, Bytes n)
+ *   {
+ *       co_await sim::delay(sim, 10_ns);
+ *       co_return n;
+ *   }
+ *   // inside a Process:  const Bytes got = co_await charge(sim, 64);
+ * @endcode
+ */
+template <typename T = void>
+class [[nodiscard]] Task
+{
+  public:
+    struct promise_type : detail::TaskResult<T>
+    {
+        std::coroutine_handle<> continuation;
+
+        Task
+        get_return_object()
+        {
+            return Task(
+                std::coroutine_handle<promise_type>::from_promise(*this));
+        }
+        std::suspend_always initial_suspend() noexcept { return {}; }
+
+        struct FinalAwaiter
+        {
+            bool await_ready() const noexcept { return false; }
+            std::coroutine_handle<>
+            await_suspend(std::coroutine_handle<promise_type> h) noexcept
+            {
+                return h.promise().continuation;
+            }
+            void await_resume() const noexcept {}
+        };
+        FinalAwaiter final_suspend() noexcept { return {}; }
+
+        void
+        unhandled_exception()
+        {
+            panic("unhandled exception escaped a sim::Task");
+        }
+    };
+
+    Task(Task &&o) noexcept : handle_(std::exchange(o.handle_, nullptr)) {}
+    Task(const Task &) = delete;
+    Task &operator=(const Task &) = delete;
+    Task &operator=(Task &&) = delete;
+    ~Task()
+    {
+        if (handle_)
+            handle_.destroy();
+    }
+
+    // --- awaitable interface (await once) -------------------------------
+    bool await_ready() const noexcept { return false; }
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> awaiting) noexcept
+    {
+        handle_.promise().continuation = awaiting;
+        return handle_;
+    }
+    T
+    await_resume()
+    {
+        SMARTDS_CHECK(handle_.done(), "sim::Task resumed before finishing");
+        return handle_.promise().take();
+    }
+
+  private:
+    explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
+
     std::coroutine_handle<promise_type> handle_;
 };
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -20,6 +21,8 @@
 #include "faults/fault_injector.h"
 #include "lz4/lz4.h"
 #include "mem/memory_system.h"
+#include "middletier/accelerator_server.h"
+#include "middletier/bf2_server.h"
 #include "middletier/cpu_only_server.h"
 #include "middletier/hot_block_cache.h"
 #include "middletier/protocol.h"
@@ -289,6 +292,70 @@ TEST(HotBlockCacheEndToEnd, RepeatedReadsHitAndServeIdenticalBytes)
     EXPECT_EQ(s.hits, reads - 1u);
     EXPECT_EQ(s.hitBytes, (reads - 1u) * blockBytes);
 }
+
+/** One of the designs built on the shared request engine, on @p bed. */
+std::unique_ptr<MiddleTierServer>
+makeServer(Design design, CacheTestbed &bed, ServerConfig config)
+{
+    switch (design) {
+      case Design::CpuOnly:
+        return std::make_unique<CpuOnlyServer>(bed.fabric, bed.memory,
+                                               std::move(config));
+      case Design::Accelerator:
+        return std::make_unique<AcceleratorServer>(bed.fabric, bed.memory,
+                                                   std::move(config));
+      case Design::Bf2:
+        return std::make_unique<Bf2Server>(bed.fabric, std::move(config));
+      case Design::SmartDs:
+        break;
+    }
+    return nullptr;
+}
+
+class WriteReadRoundTrip : public ::testing::TestWithParam<Design>
+{
+};
+
+TEST_P(WriteReadRoundTrip, ReadsServeTheWrittenBytes)
+{
+    // A functional write through the design's write path, then two reads
+    // of the block: the first misses and fetches a stored replica, the
+    // second hits the cache. Both must serve the bytes that were written.
+    CacheTestbed bed;
+    const auto server =
+        makeServer(GetParam(), bed, bed.serverConfig(mebibytes(1)));
+    ASSERT_NE(server, nullptr);
+
+    Rng rng(3);
+    const std::vector<std::uint8_t> plain =
+        bed.corpus.sampleBlock(blockBytes, rng);
+    bed.write(server->frontNode(), 9, 5, 0, plain);
+    bed.read(server->frontNode(), 9, 5, 0);
+    bed.read(server->frontNode(), 9, 5, 0);
+
+    ASSERT_EQ(bed.readBytes.size(), 2u);
+    EXPECT_EQ(bed.readBytes[0], plain);
+    EXPECT_EQ(bed.readBytes[1], plain);
+    const HotBlockCache::Stats s = server->readCacheStats();
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(server->failoverStats().readsUnserved, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Designs, WriteReadRoundTrip,
+                         ::testing::Values(Design::CpuOnly,
+                                           Design::Accelerator,
+                                           Design::Bf2),
+                         [](const ::testing::TestParamInfo<Design> &info) {
+                             switch (info.param) {
+                               case Design::CpuOnly:
+                                 return std::string("CpuOnly");
+                               case Design::Accelerator:
+                                 return std::string("Accelerator");
+                               default:
+                                 return std::string("Bf2");
+                             }
+                         });
 
 TEST(HotBlockCacheEndToEnd, WriteInvalidatesTheCachedCopy)
 {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "sim/awaitables.h"
 #include "sim/bandwidth_server.h"
 #include "sim/process.h"
@@ -175,6 +178,125 @@ TEST(Process, ParallelAwaitViaTwoCompletions)
     sim.run();
     // Both started together; total is the max, not the sum.
     EXPECT_EQ(done, 1_us);
+}
+
+// ---------------------------------------------------------------------
+// Task<T>: lazily started, awaited inline (no scheduled events)
+// ---------------------------------------------------------------------
+
+/** Two timed phases and a completion, as a reusable Task. */
+Task<std::uint64_t>
+phases(Simulator &sim, Completion done)
+{
+    co_await delay(sim, 10_ns);
+    auto wait = timerAsync(sim, 20_ns);
+    co_await wait;
+    co_return co_await done;
+}
+
+TEST(Task, AwaitingAddsNoEventsOverTheInlinedBody)
+{
+    // The same work once through a Task and once written inline must
+    // produce the same event stream: same count, same dsan state hash.
+    const auto run = [](bool through_task) {
+        Simulator sim;
+        sim.enableStateHash(true);
+        Completion done(sim);
+        sim.schedule(5_ns, [done]() mutable { done.complete(7); });
+        std::uint64_t got = 0;
+        if (through_task) {
+            spawn(sim, [](Simulator &s, Completion c,
+                          std::uint64_t *out) -> Process {
+                *out = co_await phases(s, c);
+            }(sim, done, &got));
+        } else {
+            spawn(sim, [](Simulator &s, Completion c,
+                          std::uint64_t *out) -> Process {
+                co_await delay(s, 10_ns);
+                auto wait = timerAsync(s, 20_ns);
+                co_await wait;
+                *out = co_await c;
+            }(sim, done, &got));
+        }
+        sim.run();
+        EXPECT_EQ(got, 7u);
+        EXPECT_EQ(sim.now(), 30_ns);
+        return std::make_pair(sim.eventsExecuted(), sim.stateHash());
+    };
+    const auto inlined = run(false);
+    const auto tasked = run(true);
+    EXPECT_EQ(tasked.first, inlined.first);
+    EXPECT_EQ(tasked.second, inlined.second);
+}
+
+TEST(Task, ReturnsItsValueWithOrWithoutSuspending)
+{
+    Simulator sim;
+    int ready = 0;
+    int suspended = 0;
+    spawn(sim, [](Simulator &s, int *a, int *b) -> Process {
+        *a = co_await []() -> Task<int> { co_return 41; }();
+        *b = co_await [](Simulator &s2) -> Task<int> {
+            co_await delay(s2, 1_us);
+            co_return 42;
+        }(s);
+    }(sim, &ready, &suspended));
+    sim.run();
+    EXPECT_EQ(ready, 41);
+    EXPECT_EQ(suspended, 42);
+    EXPECT_EQ(sim.now(), 1_us);
+}
+
+Task<int>
+leaf(Simulator &sim, int v)
+{
+    co_await delay(sim, 100_ns);
+    co_return v;
+}
+
+Task<int>
+middle(Simulator &sim)
+{
+    const int a = co_await leaf(sim, 1);
+    const int b = co_await leaf(sim, 2);
+    co_return a + b;
+}
+
+TEST(Task, NestedTasksRunInOrder)
+{
+    Simulator sim;
+    int sum = 0;
+    Tick when = 0;
+    spawn(sim, [](Simulator &s, int *out, Tick *t) -> Process {
+        *out = co_await middle(s) + co_await leaf(s, 10);
+        *t = s.now();
+    }(sim, &sum, &when));
+    sim.run();
+    EXPECT_EQ(sum, 13);
+    EXPECT_EQ(when, 300_ns);
+}
+
+TEST(Task, FrameIsDestroyedOnCompletion)
+{
+    // The Task's parameter copy lives in its frame: the use count drops
+    // back as soon as the awaited Task finishes.
+    Simulator sim;
+    auto token = std::make_shared<int>(0);
+    long during = 0;
+    long after = 0;
+    spawn(sim, [](Simulator &s, std::shared_ptr<int> t, long *in,
+                  long *out) -> Process {
+        co_await [](Simulator &s2, std::shared_ptr<int> held,
+                    long *seen) -> Task<void> {
+            co_await delay(s2, 1_us);
+            *seen = held.use_count();
+        }(s, t, in);
+        *out = t.use_count();
+    }(sim, token, &during, &after));
+    token.reset();
+    sim.run();
+    EXPECT_EQ(during, 2); // the process's copy and the Task frame's
+    EXPECT_EQ(after, 1);  // the Task frame is gone
 }
 
 } // namespace
