@@ -105,9 +105,16 @@ BlockCodecCache::lookupCompressed(std::uint32_t block_id,
     return guarded(block_id, data, size, true);
 }
 
+namespace {
+
+/**
+ * Registry lookup for (corpus seed, corpus size, block size, effort);
+ * @p corpus supplies the corpus to build from on a miss.
+ */
+template <typename CorpusSource>
 const BlockCodecCache &
-sharedBlockCache(const SyntheticCorpus &corpus, std::size_t block_bytes,
-                 int effort)
+registryLookup(std::uint64_t corpus_seed, std::size_t corpus_bytes,
+               std::size_t block_bytes, int effort, CorpusSource &&corpus)
 {
     using Key = std::tuple<std::uint64_t, std::size_t, std::size_t, int>;
     // simlint: allow(mutable-global, shared-sim-state): guards the
@@ -120,16 +127,39 @@ sharedBlockCache(const SyntheticCorpus &corpus, std::size_t block_bytes,
     // deterministic, so every thread observes identical tables;
     // protected by the mutex above and never iterated
     static std::map<Key, std::unique_ptr<BlockCodecCache>> registry;
-    const Key key{corpus.seed(), corpus.size(), block_bytes, effort};
+    const Key key{corpus_seed, corpus_bytes, block_bytes, effort};
     const std::lock_guard<std::mutex> lock(mutex);
     auto it = registry.find(key);
     if (it == registry.end()) {
         it = registry
                  .emplace(key, std::make_unique<BlockCodecCache>(
-                                   corpus, block_bytes, effort))
+                                   corpus(), block_bytes, effort))
                  .first;
     }
     return *it->second;
+}
+
+} // namespace
+
+const BlockCodecCache &
+sharedBlockCache(const SyntheticCorpus &corpus, std::size_t block_bytes,
+                 int effort)
+{
+    return registryLookup(corpus.seed(), corpus.size(), block_bytes, effort,
+                          [&corpus]() -> const SyntheticCorpus & {
+                              return corpus;
+                          });
+}
+
+const BlockCodecCache &
+sharedBlockCache(std::size_t corpus_bytes, std::uint64_t corpus_seed,
+                 std::size_t block_bytes, int effort)
+{
+    return registryLookup(corpus_seed, corpus_bytes, block_bytes, effort,
+                          [corpus_bytes, corpus_seed]() {
+                              return SyntheticCorpus(corpus_bytes,
+                                                     corpus_seed);
+                          });
 }
 
 } // namespace smartds::corpus

@@ -99,6 +99,17 @@ class BlockCodecCache
 const BlockCodecCache &sharedBlockCache(const SyntheticCorpus &corpus,
                                         std::size_t block_bytes, int effort);
 
+/**
+ * The same registry, keyed by the corpus's identity instead of a live
+ * corpus: on a miss it synthesises SyntheticCorpus(@p corpus_bytes,
+ * @p corpus_seed), builds the table from it and drops the corpus again.
+ * The cache holds its own copy of every block, so a caller that needs
+ * only the cache keeps one resident copy of the corpus, not two.
+ */
+const BlockCodecCache &sharedBlockCache(std::size_t corpus_bytes,
+                                        std::uint64_t corpus_seed,
+                                        std::size_t block_bytes, int effort);
+
 } // namespace smartds::corpus
 
 #endif // SMARTDS_CORPUS_BLOCK_CACHE_H_

@@ -92,4 +92,12 @@ StorageHeader::decode(const std::uint8_t *data)
     return h;
 }
 
+std::optional<StorageHeader>
+StorageHeader::decode(std::span<const std::uint8_t> bytes)
+{
+    if (bytes.size() < wireSize)
+        return std::nullopt;
+    return decode(bytes.data());
+}
+
 } // namespace smartds::middletier

@@ -16,6 +16,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/calibration.h"
@@ -53,8 +55,15 @@ struct StorageHeader
      */
     std::shared_ptr<const std::vector<std::uint8_t>> encodeShared() const;
 
-    /** Parse from a buffer of at least wireSize bytes. */
+    /** Parse from a buffer the caller knows holds wireSize bytes. */
     static StorageHeader decode(const std::uint8_t *data);
+
+    /**
+     * Parse from @p bytes, failing closed: nullopt when fewer than
+     * wireSize bytes are present. Bytes past wireSize are ignored.
+     */
+    [[nodiscard]] static std::optional<StorageHeader>
+    decode(std::span<const std::uint8_t> bytes);
 
     bool operator==(const StorageHeader &other) const = default;
 };

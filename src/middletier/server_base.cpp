@@ -1,6 +1,7 @@
 #include "middletier/server_base.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -271,13 +272,9 @@ MiddleTierServer::verifyFetchedBlock(const ServerConfig &config,
     out.corrupt = reply.payload.corrupted;
     if (out.corrupt || !reply.payload.data)
         return out;
-    const StorageHeader *hdr_ptr = nullptr;
-    StorageHeader hdr;
-    if (reply.headerData &&
-        reply.headerData->size() >= StorageHeader::wireSize) {
-        hdr = StorageHeader::decode(reply.headerData->data());
-        hdr_ptr = &hdr;
-    }
+    std::optional<StorageHeader> hdr;
+    if (reply.headerData)
+        hdr = StorageHeader::decode(*reply.headerData);
     const corpus::BlockCodecCache::Entry *cached =
         config.blockCache
             ? config.blockCache->lookupCompressed(reply.payload.blockId,
@@ -288,8 +285,8 @@ MiddleTierServer::verifyFetchedBlock(const ServerConfig &config,
         // The hash guard proved the stored bytes are the cached
         // compressed block, so decompression is a lookup; the header
         // checksum is still compared, as on the slow path.
-        if (hdr_ptr && hdr_ptr->blockChecksum != 0 &&
-            cached->plainChecksum != hdr_ptr->blockChecksum) {
+        if (hdr && hdr->blockChecksum != 0 &&
+            cached->plainChecksum != hdr->blockChecksum) {
             out.corrupt = true;
             return out;
         }
@@ -304,8 +301,8 @@ MiddleTierServer::verifyFetchedBlock(const ServerConfig &config,
         out.corrupt = true;
         return out;
     }
-    if (hdr_ptr && hdr_ptr->blockChecksum != 0 &&
-        xxhash32(*plain) != hdr_ptr->blockChecksum) {
+    if (hdr && hdr->blockChecksum != 0 &&
+        xxhash32(*plain) != hdr->blockChecksum) {
         out.corrupt = true;
         return out;
     }
@@ -344,11 +341,10 @@ MiddleTierServer::decodeEcStripe(const ServerConfig &config,
         out.corrupt = true;
         return out;
     }
-    if (stored.headerData &&
-        stored.headerData->size() >= StorageHeader::wireSize) {
-        const StorageHeader hdr =
-            StorageHeader::decode(stored.headerData->data());
-        if (hdr.blockChecksum != 0 && xxhash32(*plain) != hdr.blockChecksum) {
+    if (stored.headerData) {
+        const auto hdr = StorageHeader::decode(*stored.headerData);
+        if (hdr && hdr->blockChecksum != 0 &&
+            xxhash32(*plain) != hdr->blockChecksum) {
             out.corrupt = true;
             return out;
         }

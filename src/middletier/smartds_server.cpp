@@ -1,7 +1,10 @@
 #include "middletier/smartds_server.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/checksum.h"
 #include "common/check.h"
@@ -12,6 +15,23 @@
 namespace smartds::middletier {
 
 using device::SmartDsDevice;
+
+namespace {
+
+/**
+ * The storage header that landed in host buffer @p h, decoded over the
+ * bytes the split actually wrote there: nullopt (fail closed) when
+ * fewer than StorageHeader::wireSize arrived.
+ */
+std::optional<StorageHeader>
+landedHeader(const device::Buffer &h)
+{
+    const std::vector<std::uint8_t> &bytes = *h.bytes();
+    return StorageHeader::decode(std::span<const std::uint8_t>(
+        bytes.data(), std::min<std::size_t>(h.content.size, bytes.size())));
+}
+
+} // namespace
 
 SmartDsServer::SmartDsServer(net::Fabric &fabric, mem::MemorySystem &memory,
                              ServerConfig config, SmartDsConfig smartds)
@@ -31,11 +51,13 @@ SmartDsServer::SmartDsServer(net::Fabric &fabric, mem::MemorySystem &memory,
     initFailover(config_);
     if (readCache_ &&
         config_.readCache.placement == ReadCachePlacement::DeviceHbm) {
-        // The cache's capacity comes out of the HBM budget (alloc is
+        // The cache's capacity comes out of the HBM budget (reserve is
         // fatal on exhaustion, so an oversized cache fails loudly), and
         // every hit's device-DRAM read is billed to a fair-share flow
-        // competing with the datapath's own HBM traffic.
-        cacheReservation_ = device_->hbm().alloc(config_.readCache.capacityBytes);
+        // competing with the datapath's own HBM traffic. The cached
+        // blocks themselves live in the HotBlockCache entries, so the
+        // reservation is accounting only and holds no host bytes.
+        device_->hbm().reserve(config_.readCache.capacityBytes);
         cacheFlow_ = device_->hbm().createFlow("smartds.cache");
     }
     for (unsigned p = 0; p < smartds_.ports; ++p) {
@@ -159,12 +181,19 @@ SmartDsServer::worker(unsigned port)
         bool latency_sensitive = req.latencySensitive;
         std::uint64_t tag = req.tag;
         if (device_->config().functional && h_recv->bytes()) {
-            const StorageHeader hdr =
-                StorageHeader::decode(h_recv->bytes()->data());
-            latency_sensitive = hdr.latencySensitive != 0;
-            tag = hdr.tag;
+            // A header too short to decode fails closed to the message's
+            // own metadata, with no block checksum to vouch for the data.
+            StorageHeader out;
+            out.vmId = req.vmId;
+            out.blockOffset = req.blockOffset;
+            out.tag = tag;
+            out.latencySensitive = latency_sensitive ? 1 : 0;
+            if (const auto hdr = landedHeader(*h_recv)) {
+                latency_sensitive = hdr->latencySensitive != 0;
+                tag = hdr->tag;
+                out = *hdr;
+            }
             // host_fill_send_h_buf: the reply/replica header.
-            StorageHeader out = hdr;
             out.payloadSize = static_cast<std::uint32_t>(payload_size);
             out.encodeInto(h_send->bytes()->data());
         }
@@ -342,12 +371,13 @@ SmartDsServer::worker(unsigned port)
                 bool corrupt = d_recv->content.corrupted;
                 if (!corrupt && device_->config().functional &&
                     d_recv->bytes() && h_fetch->bytes()) {
-                    const StorageHeader stored =
-                        StorageHeader::decode(h_fetch->bytes()->data());
+                    // A header too short to decode fails closed.
+                    const auto stored = landedHeader(*h_fetch);
                     corrupt =
-                        stored.blockChecksum != 0 &&
-                        xxhash32(d_recv->bytes()->data(), plain.size()) !=
-                            stored.blockChecksum;
+                        !stored ||
+                        (stored->blockChecksum != 0 &&
+                         xxhash32(d_recv->bytes()->data(), plain.size()) !=
+                             stored->blockChecksum);
                 }
                 if (corrupt) {
                     ++failover_.corruptionsDetected;
@@ -483,10 +513,11 @@ SmartDsServer::worker(unsigned port)
                 bool corrupt = d_recv->content.corrupted;
                 if (!corrupt && device_->config().functional &&
                     d_recv->bytes() && h_fetch->bytes()) {
-                    const StorageHeader stored =
-                        StorageHeader::decode(h_fetch->bytes()->data());
-                    corrupt = xxhash32(d_recv->bytes()->data(),
-                                       plain.size()) != stored.blockChecksum;
+                    // A header too short to decode fails closed.
+                    const auto stored = landedHeader(*h_fetch);
+                    corrupt = !stored ||
+                              xxhash32(d_recv->bytes()->data(),
+                                       plain.size()) != stored->blockChecksum;
                 }
                 if (corrupt) {
                     ++failover_.corruptionsDetected;

@@ -76,11 +76,10 @@ class SmartDsServer : public MiddleTierServer
     /** The shared request queue pair of each port (clients send here). */
     std::vector<device::SmartDsDevice::Qp> requestQps_;
     /**
-     * HBM-resident read cache: the capacity reservation charged against
-     * the device memory budget and the bandwidth flow each hit's DRAM
-     * read is billed to. Null when the cache is off or host-placed.
+     * HBM-resident read cache: the bandwidth flow each hit's DRAM read is
+     * billed to (its capacity is reserved from the HBM budget at
+     * construction). Null when the cache is off or host-placed.
      */
-    device::BufferRef cacheReservation_;
     sim::FairShareResource::Flow *cacheFlow_ = nullptr;
 };
 

@@ -29,6 +29,16 @@ ClusterSim::~ClusterSim()
     stopWorkers();
 }
 
+std::size_t
+ClusterSim::reclaimProcesses()
+{
+    SMARTDS_CHECK(!running_, "reclaimProcesses() during a run");
+    std::size_t reclaimed = 0;
+    for (auto &sim : sims_)
+        reclaimed += sim->reclaimProcesses();
+    return reclaimed;
+}
+
 void
 ClusterSim::setShards(unsigned shards)
 {

@@ -110,6 +110,13 @@ class ClusterSim
      */
     void runUntil(Tick deadline);
 
+    /**
+     * Simulator::reclaimProcesses() on every domain: free the frames of
+     * the processes still suspended once the run is over, while the
+     * components they refer to are alive. @return frames reclaimed.
+     */
+    std::size_t reclaimProcesses();
+
     // ---- determinism sanitizer fan-out ----------------------------------
 
     /** Enable/disable the per-dispatch state hash in every domain. */

@@ -51,13 +51,18 @@ namespace smartds::sim {
 
 /**
  * Fire-and-forget coroutine task. The coroutine frame destroys itself on
- * completion; the returned object is only a token for spawn().
+ * completion; the returned object is only a token for spawn(). A frame
+ * still suspended when its simulator is done is reclaimed by
+ * Simulator::reclaimProcesses() (or the Simulator's destructor).
  */
 class Process
 {
   public:
     struct promise_type
     {
+        /** Links the frame into its simulator's registry (spawn()). */
+        ProcessHook hook;
+
         Process
         get_return_object()
         {
@@ -199,6 +204,7 @@ spawn(Simulator &sim, Process p)
 {
     auto h = p.release();
     SMARTDS_CHECK(h, "spawning an empty process");
+    sim.adoptProcess(h.promise().hook, h);
     sim.schedule(0, [h]() { h.resume(); });
 }
 

@@ -43,6 +43,37 @@ Simulator::run()
     return now_;
 }
 
+std::size_t
+Simulator::liveProcesses() const
+{
+    std::size_t n = 0;
+    for (const ProcessHook *h = processes_.next_; h != &processes_;
+         h = h->next_)
+        ++n;
+    return n;
+}
+
+std::size_t
+Simulator::reclaimProcesses()
+{
+    // Events first: a pending resume of a frame freed below must never
+    // run, and dropping the callbacks releases what they captured.
+    for (const HeapEntry &entry : heap_) {
+        if (live(entry.slot, entry.gen))
+            releaseSlot(entry.slot);
+    }
+    heap_.clear();
+    std::size_t reclaimed = 0;
+    while (processes_.next_ != &processes_) {
+        ProcessHook *hook = processes_.next_;
+        const std::coroutine_handle<> frame = hook->frame_;
+        hook->unlink();
+        frame.destroy();
+        ++reclaimed;
+    }
+    return reclaimed;
+}
+
 void
 Simulator::foldEvent(Tick when, std::uint64_t seq, EventTag tag)
 {

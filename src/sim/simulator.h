@@ -21,6 +21,7 @@
 #define SMARTDS_SIM_SIMULATOR_H_
 
 #include <algorithm>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -264,6 +265,42 @@ DsanDivergence compareDsanWindows(const std::vector<DsanWindow> &a,
                                   const std::vector<DsanWindow> &b);
 
 /**
+ * Registry hook of one spawned coroutine frame. sim::Process embeds one
+ * in its promise, and spawn() links it into the Simulator the process
+ * runs on; the hook unlinks itself when the frame is destroyed (the
+ * process finished, or its simulator reclaimed it). Linking and
+ * unlinking are a few pointer writes and allocate nothing.
+ */
+class ProcessHook
+{
+  public:
+    ProcessHook() = default;
+    ProcessHook(const ProcessHook &) = delete;
+    ProcessHook &operator=(const ProcessHook &) = delete;
+    ~ProcessHook() { unlink(); }
+
+    /** Whether the frame is registered with a simulator. */
+    bool linked() const { return next_ != nullptr; }
+
+  private:
+    friend class Simulator;
+
+    void
+    unlink() noexcept
+    {
+        if (!next_)
+            return;
+        prev_->next_ = next_;
+        next_->prev_ = prev_;
+        prev_ = next_ = nullptr;
+    }
+
+    ProcessHook *prev_ = nullptr;
+    ProcessHook *next_ = nullptr;
+    std::coroutine_handle<> frame_;
+};
+
+/**
  * The discrete-event simulator: a clock plus a pending-event queue.
  *
  * Components hold a reference to the Simulator, schedule callbacks, and
@@ -274,8 +311,9 @@ DsanDivergence compareDsanWindows(const std::vector<DsanWindow> &a,
 class Simulator
 {
   public:
-    Simulator() = default;
-    ~Simulator() = default;
+    Simulator() { processes_.prev_ = processes_.next_ = &processes_; }
+    /** Reclaims the frames of processes still suspended (see below). */
+    ~Simulator() { reclaimProcesses(); }
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
@@ -405,6 +443,40 @@ class Simulator
      * events). Exposed so tests can assert free-list reuse.
      */
     std::size_t eventPoolSlots() const { return pool_.size(); }
+
+    // ---- process frames --------------------------------------------------
+    //
+    // A spawned sim::Process owns its own coroutine frame and frees it
+    // when its body returns. A process still suspended when its
+    // simulator stops being run (a server loop, a client issuer, an
+    // await on an ack that never comes) would otherwise leak its frame
+    // and everything the frame holds. The simulator keeps every frame
+    // spawned on it in an intrusive list so it can free them.
+
+    /** Register @p frame (spawn() calls this; @p hook lives in it). */
+    void
+    adoptProcess(ProcessHook &hook, std::coroutine_handle<> frame)
+    {
+        SMARTDS_CHECK(!hook.linked(), "process spawned twice");
+        hook.frame_ = frame;
+        hook.prev_ = processes_.prev_;
+        hook.next_ = &processes_;
+        processes_.prev_->next_ = &hook;
+        processes_.prev_ = &hook;
+    }
+
+    /** Spawned processes that have not finished yet. */
+    std::size_t liveProcesses() const;
+
+    /**
+     * Destroy the frame of every unfinished process and drop every
+     * pending event, so nothing can resume a freed frame. Call it once
+     * the simulation is over, while the components the frames refer to
+     * are still alive; the destructor repeats it as a backstop.
+     *
+     * @return the number of frames reclaimed.
+     */
+    std::size_t reclaimProcesses();
 
     // ---- determinism sanitizer ------------------------------------------
     //
@@ -606,6 +678,8 @@ class Simulator
     Tick windowFirstTick_ = 0;
     Tick windowLastTick_ = 0;
     std::vector<DsanWindow> windows_;
+    /** Sentinel of the circular list of unfinished process frames. */
+    ProcessHook processes_;
 #if SMARTDS_CHECKED_BUILD
     /** Largest (tick, seq) key dispatched so far; must be monotone. */
     unsigned __int128 lastPoppedKey_ = 0;

@@ -199,9 +199,14 @@ SmartDsDevice::performSplit(unsigned port_index, RecvDescriptor desc,
     // Functional data movement: header bytes into the host buffer,
     // payload bytes into the device buffer.
     if (config_.functional) {
-        if (desc.h && desc.h->bytes() && msg.headerData) {
-            const Bytes n = std::min<Bytes>(msg.headerData->size(),
-                                            desc.h->capacity());
+        if (desc.h && desc.h->bytes()) {
+            // content.size is the header length that landed, 0 when the
+            // message carried none, so a decoder never mistakes a
+            // previous message's bytes for this one's header.
+            const Bytes n =
+                msg.headerData ? std::min<Bytes>(msg.headerData->size(),
+                                                 desc.h->capacity())
+                               : 0;
             if (n > 0)
                 std::memcpy(desc.h->bytes()->data(),
                             msg.headerData->data(), n);
@@ -350,10 +355,19 @@ SmartDsDevice::mixedSend(const Qp &qp, BufferRef h, Bytes h_size,
         }
     }
     if (config_.functional && h && h->bytes()) {
-        msg.headerData = std::make_shared<const std::vector<std::uint8_t>>(
-            h->bytes()->begin(),
-            h->bytes()->begin() +
-                static_cast<std::ptrdiff_t>(std::min(h_size, h->capacity())));
+        // Header bytes are immutable once on the wire, so a send whose
+        // header matches the previous one shares its buffer: the k + m
+        // shard (or replica) sends of one request carry one header
+        // buffer, not a copy each.
+        const auto first = h->bytes()->cbegin();
+        const auto last =
+            first +
+            static_cast<std::ptrdiff_t>(std::min(h_size, h->capacity()));
+        if (!lastHeader_ ||
+            !std::equal(first, last, lastHeader_->begin(), lastHeader_->end()))
+            lastHeader_ =
+                std::make_shared<const std::vector<std::uint8_t>>(first, last);
+        msg.headerData = lastHeader_;
     }
 
     Event event{sim::Completion(sim_), nullptr};

@@ -312,6 +312,8 @@ class SmartDsDevice
     sim::FairShareResource::Flow *hdrRead_ = nullptr;
     std::uint64_t nextHostAddr_ = 0;
     std::vector<std::unique_ptr<PortState>> portStates_;
+    /** Header bytes of the last functional send (see mixedSend). */
+    std::shared_ptr<const std::vector<std::uint8_t>> lastHeader_;
 };
 
 } // namespace smartds::device

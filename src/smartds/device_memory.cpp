@@ -18,6 +18,14 @@ DeviceMemory::DeviceMemory(sim::Simulator &sim, const std::string &name,
 BufferRef
 DeviceMemory::alloc(Bytes size)
 {
+    const std::uint64_t addr = reserve(size);
+    return std::make_shared<Buffer>(MemorySpace::Device, addr, size,
+                                    functional_);
+}
+
+std::uint64_t
+DeviceMemory::reserve(Bytes size)
+{
     SMARTDS_CHECK(used_ + size >= used_,
                   "allocation of %llu bytes overflows the address space",
                   static_cast<unsigned long long>(size));
@@ -43,8 +51,7 @@ DeviceMemory::alloc(Bytes size)
         static_cast<unsigned long long>(addr),
         static_cast<unsigned long long>(addr + size),
         static_cast<unsigned long long>(used_));
-    return std::make_shared<Buffer>(MemorySpace::Device, addr, size,
-                                    functional_);
+    return addr;
 }
 
 sim::FairShareResource::Flow *

@@ -33,6 +33,16 @@ class DeviceMemory
     /** Allocate @p size bytes; fatal on exhaustion (configuration error). */
     BufferRef alloc(Bytes size);
 
+    /**
+     * Charge @p size bytes against the capacity budget without a buffer
+     * (no backing bytes even in functional mode): for regions the model
+     * only accounts for, such as the hot-block cache's reservation.
+     * Fatal on exhaustion exactly like alloc().
+     *
+     * @return the reserved region's device address.
+     */
+    std::uint64_t reserve(Bytes size);
+
     /** Create a bandwidth flow on the HBM (a datapath user). */
     sim::FairShareResource::Flow *createFlow(std::string name,
                                              double weight = 1.0);

@@ -95,9 +95,10 @@ StorageServer::finishReplica(net::Message msg)
             corruptTags_.insert(msg.tag);
     }
     if (config_.functionalStore) {
-        store_[msg.tag] = std::move(stored);
+        Stored &entry = store_[msg.tag];
+        entry.payload = std::move(stored);
         if (msg.headerData)
-            headers_[msg.tag] = msg.headerData;
+            entry.header = msg.headerData;
     }
 
     trace::Tracer *tracer = fabric_.tracer();
@@ -136,6 +137,7 @@ StorageServer::handleFetch(net::Message msg)
     // Disk read: charge the block transfer plus the access latency, then
     // return the stored (compressed) block.
     net::Payload payload;
+    std::shared_ptr<const std::vector<std::uint8_t>> header;
     if (config_.functionalStore) {
         const auto it = store_.find(msg.tag);
         if (it == store_.end()) {
@@ -146,7 +148,8 @@ StorageServer::handleFetch(net::Message msg)
             payload.corrupted = true;
             payload.originalSize = msg.payload.originalSize;
         } else {
-            payload = it->second;
+            payload = it->second.payload;
+            header = it->second.header;
         }
     } else {
         // Timing-only mode: synthesise a block of the size the request
@@ -185,9 +188,6 @@ StorageServer::handleFetch(net::Message msg)
         if (corruptTags_.count(msg.tag))
             payload.corrupted = true;
     }
-    std::shared_ptr<const std::vector<std::uint8_t>> header;
-    if (const auto hit = headers_.find(msg.tag); hit != headers_.end())
-        header = hit->second;
     const Bytes block = payload.size;
     if (fabric_.tracer() && msg.trace)
         msg.trace.mark = fabric_.simulator().now(); // Storage span start
@@ -224,7 +224,14 @@ const net::Payload *
 StorageServer::storedBlock(std::uint64_t tag) const
 {
     const auto it = store_.find(tag);
-    return it == store_.end() ? nullptr : &it->second;
+    return it == store_.end() ? nullptr : &it->second.payload;
+}
+
+std::shared_ptr<const std::vector<std::uint8_t>>
+StorageServer::storedHeader(std::uint64_t tag) const
+{
+    const auto it = store_.find(tag);
+    return it == store_.end() ? nullptr : it->second.header;
 }
 
 } // namespace smartds::storage

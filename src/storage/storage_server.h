@@ -54,16 +54,12 @@ class StorageServer
     /** Total (compressed) bytes appended so far. */
     Bytes bytesStored() const { return bytesStored_; }
 
-    /** Functional store lookup (empty payload if absent). */
+    /** Functional store lookup (null if absent). */
     const net::Payload *storedBlock(std::uint64_t tag) const;
 
     /** Stored storage header (functional mode; null if absent). */
     std::shared_ptr<const std::vector<std::uint8_t>>
-    storedHeader(std::uint64_t tag) const
-    {
-        const auto it = headers_.find(tag);
-        return it == headers_.end() ? nullptr : it->second;
-    }
+    storedHeader(std::uint64_t tag) const;
 
     /**
      * Attach a fault profile (owned by a FaultInjector). The node id is
@@ -85,11 +81,15 @@ class StorageServer
     faults::FaultProfile *faults_ = nullptr;
     std::uint64_t blocksStored_ = 0;
     Bytes bytesStored_ = 0;
-    std::unordered_map<std::uint64_t, net::Payload> store_;
-    /** Stored block-storage headers (functional mode; read-path verify). */
-    std::unordered_map<std::uint64_t,
-                       std::shared_ptr<const std::vector<std::uint8_t>>>
-        headers_;
+    /** One functionally stored block: its bytes and its storage header. */
+    struct Stored
+    {
+        net::Payload payload;
+        /** Block-storage header for read-path verification (may be null). */
+        std::shared_ptr<const std::vector<std::uint8_t>> header;
+    };
+    /** Functional store: one entry per written tag. */
+    std::unordered_map<std::uint64_t, Stored> store_;
     /** Tags whose stored copy took a bit flip (timing mode bookkeeping). */
     std::unordered_set<std::uint64_t> corruptTags_;
 };

@@ -27,14 +27,15 @@ namespace smartds::workload {
 namespace {
 
 /**
- * Corpus + ratio distribution, cached per (effort, block size). The
- * mutex makes the cache safe for concurrent experiments (SweepRunner);
- * the returned sampler itself is immutable and shared freely.
+ * Ratio distribution, cached per (effort, block size). The 4 MiB corpus
+ * it samples is synthesised on a miss and dropped once the sampler
+ * exists, so it is not resident for the life of the process. The mutex
+ * makes the cache safe for concurrent experiments (SweepRunner); the
+ * returned sampler itself is immutable and shared freely.
  */
 const corpus::RatioSampler &
 cachedRatios(int effort, Bytes block_bytes)
 {
-    static const corpus::SyntheticCorpus corpus(4u << 20, 42);
     // simlint: allow(shared-sim-state): guards the cache below; audited
     // in the PR 2 global-state sweep, safe under concurrent SweepRunner
     // jobs and genuinely per-process (deterministic content, so PDES
@@ -50,6 +51,7 @@ cachedRatios(int effort, Bytes block_bytes)
     const std::lock_guard<std::mutex> lock(mutex);
     auto it = cache.find(key);
     if (it == cache.end()) {
+        const corpus::SyntheticCorpus corpus(4u << 20, 42);
         it = cache
                  .emplace(key, std::make_unique<corpus::RatioSampler>(
                                    corpus, block_bytes, effort, 512, 7))
@@ -60,14 +62,23 @@ cachedRatios(int effort, Bytes block_bytes)
 
 /**
  * Corpus for the functional datapath: 8 MiB of synthetic Silesia-like
- * data = 2048 distinct 4 KiB blocks, built once per process. Separate
- * from the (smaller) ratio-sampling corpus so enabling functional mode
- * does not perturb the timing-mode ratio distribution.
+ * data = 2048 distinct 4 KiB blocks. Separate from the (smaller)
+ * ratio-sampling corpus so enabling functional mode does not perturb the
+ * timing-mode ratio distribution.
+ */
+constexpr std::size_t functionalCorpusBytes = 8u << 20;
+constexpr std::uint64_t functionalCorpusSeed = 42;
+
+/**
+ * The functional corpus itself, built once per process on first use.
+ * Only runs with the codec cache off read it: a cache holds its own copy
+ * of every block, so cache-on runs never make this resident.
  */
 const corpus::SyntheticCorpus &
 functionalCorpus()
 {
-    static const corpus::SyntheticCorpus corpus(8u << 20, 42);
+    static const corpus::SyntheticCorpus corpus(functionalCorpusBytes,
+                                                functionalCorpusSeed);
     return corpus;
 }
 
@@ -192,7 +203,8 @@ runWriteExperiment(const ExperimentConfig &config)
     const corpus::BlockCodecCache *block_cache = nullptr;
     if (config.functional && config.blockCache) {
         block_cache = &corpus::sharedBlockCache(
-            functionalCorpus(), config.blockBytes, config.effort);
+            functionalCorpusBytes, functionalCorpusSeed, config.blockBytes,
+            config.effort);
     }
 
     // --- Storage pool ----------------------------------------------------
@@ -404,10 +416,10 @@ runWriteExperiment(const ExperimentConfig &config)
         cc.outstanding = config.outstandingPerClient;
         cc.blockBytes = config.blockBytes;
         cc.ratios = &ratios;
-        if (config.functional) {
-            cc.corpus = &functionalCorpus();
+        if (block_cache)
             cc.blockCache = block_cache;
-        }
+        else if (config.functional)
+            cc.corpus = &functionalCorpus();
         cc.effort = config.effort;
         cc.latencySensitiveFraction = config.latencySensitiveFraction;
         cc.readFraction = config.readFraction;
@@ -539,9 +551,12 @@ runWriteExperiment(const ExperimentConfig &config)
         result.domainEvents.push_back(cluster.domainEventsExecuted(d));
     result.crossChannelEvents = cluster.crossEventsPosted();
 
-    // Stop the clients so the event queue can drain promptly.
+    // Stop the clients, then free the frames of every process still
+    // suspended (server loops, issuers, replica retries) while the
+    // components they refer to are still alive.
     for (auto &c : clients)
         c->stop();
+    cluster.reclaimProcesses();
     return result;
 }
 

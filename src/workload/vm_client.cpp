@@ -18,13 +18,15 @@ VmClient::VmClient(net::Fabric &fabric, const std::string &name,
 {
     SMARTDS_CHECK(config_.metrics && config_.tagCounter,
                    "client needs shared metrics and tag counter");
-    SMARTDS_CHECK(config_.ratios || config_.corpus,
+    SMARTDS_CHECK(config_.ratios || config_.corpus || config_.blockCache,
                    "client needs a ratio sampler or a functional corpus");
     SMARTDS_CHECK(!config_.blockCache ||
-                       (config_.corpus &&
-                        config_.blockCache->blockBytes() ==
+                       (config_.blockCache->blockBytes() ==
                             config_.blockBytes &&
-                        config_.blockCache->effort() == config_.effort),
+                        config_.blockCache->effort() == config_.effort &&
+                        (!config_.corpus ||
+                         config_.corpus->blockCount(config_.blockBytes) ==
+                             config_.blockCache->blocks())),
                    "block cache must match the corpus block size and effort");
     port_->onReceive([this](net::Message msg) { onReply(std::move(msg)); });
     for (unsigned i = 0; i < config_.outstanding; ++i)
@@ -123,14 +125,19 @@ VmClient::issuer(unsigned index)
         msg.issueTick = sim_.now();
         msg.payload.size = is_read ? 0 : config_.blockBytes;
 
-        if (config_.corpus) {
+        if (config_.corpus || config_.blockCache) {
             // Functional: carry real block bytes and an encoded header.
             // The draw happens for reads too (even though reads carry no
             // bytes) so the per-issuer random stream — and with it every
             // existing CSV — stays byte-identical to the old
-            // sample-and-copy code.
+            // sample-and-copy code. A cache draw is the same single
+            // rng.below() over the same block count as
+            // SyntheticCorpus::sampleBlockIndex().
             const std::size_t corpus_block =
-                config_.corpus->sampleBlockIndex(config_.blockBytes, rng);
+                config_.blockCache
+                    ? rng.below(config_.blockCache->blocks())
+                    : config_.corpus->sampleBlockIndex(config_.blockBytes,
+                                                       rng);
             middletier::StorageHeader hdr;
             if (!is_read) {
                 msg.payload.blockId =

@@ -54,11 +54,13 @@ class VmClient
         /** Functional mode: attach real block bytes from this corpus. */
         const corpus::SyntheticCorpus *corpus = nullptr;
         /**
-         * Optional codec cache over `corpus` (same blockBytes/effort).
-         * When set, writes alias cached corpus blocks instead of copying
-         * and reuse cached ratios/checksums instead of running the codec
-         * per request. Must be built from the same corpus; results are
-         * byte-identical with and without it.
+         * Functional mode through a codec cache (same blockBytes/effort)
+         * instead of, or over, `corpus`. Writes alias cached corpus
+         * blocks instead of copying and reuse cached ratios/checksums
+         * instead of running the codec per request. Block draws consume
+         * the same single RNG draw as from a corpus with the same block
+         * count, so results are byte-identical with and without it; when
+         * both are set they must describe the same corpus.
          */
         const corpus::BlockCodecCache *blockCache = nullptr;
         int effort = 1;

@@ -521,6 +521,50 @@ TEST(EcRecovery, SmartDsDegradedReadSurvivesDomainCrashByteForByte)
 // Background reconstruction of abandoned shards
 // ---------------------------------------------------------------------
 
+TEST(EcRecovery, SmartDsShortRequestHeaderFailsClosed)
+{
+    // One worker, so both writes land in the same host header buffer. The
+    // second request carries a truncated header: the worker must not
+    // decode the first request's leftover bytes as its header, and falls
+    // back to the message's own tag with no block checksum.
+    EcBed bed;
+    SmartDsServer::SmartDsConfig sd;
+    sd.workersPerPort = 1;
+    sd.device.functional = true;
+    sd.device.blockCache = &bed.cache;
+    SmartDsServer server(bed.fabric, bed.memory, bed.serverConfig(2), sd);
+
+    net::Port *vm = bed.fabric.createPort("vm-raw");
+    unsigned write_acks = 0;
+    vm->onReceive([&](net::Message msg) {
+        write_acks += msg.kind == net::MessageKind::WriteReply;
+    });
+    net::Message full = craftWrite(bed, /*tag=*/44, /*block=*/2);
+    full.dst = server.frontNode();
+    full.dstQp = server.frontQp();
+    vm->send(std::move(full));
+    bed.sim.run();
+
+    net::Message shorter = craftWrite(bed, /*tag=*/45, /*block=*/2);
+    shorter.headerData = std::make_shared<const std::vector<std::uint8_t>>(
+        shorter.headerData->begin(), shorter.headerData->begin() + 16);
+    shorter.dst = server.frontNode();
+    shorter.dstQp = server.frontQp();
+    vm->send(std::move(shorter));
+    bed.sim.run();
+    ASSERT_EQ(write_acks, 2u);
+
+    EXPECT_EQ(bed.shardsStored(45), 6u);
+    for (const auto &node : bed.storage) {
+        const auto stored = node->storedHeader(45);
+        ASSERT_TRUE(stored);
+        const auto hdr = StorageHeader::decode(*stored);
+        ASSERT_TRUE(hdr.has_value());
+        EXPECT_EQ(hdr->tag, 45u);
+        EXPECT_EQ(hdr->blockChecksum, 0u);
+    }
+}
+
 TEST(EcRecovery, AbandonedShardIsReconstructedInBackground)
 {
     // One node is dead from t=0 with zero retries and a k-of-n ack

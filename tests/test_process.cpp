@@ -299,5 +299,58 @@ TEST(Task, FrameIsDestroyedOnCompletion)
     EXPECT_EQ(after, 1);  // the Task frame is gone
 }
 
+TEST(Process, FinishedProcessLeavesTheRegistry)
+{
+    Simulator sim;
+    spawn(sim, [](Simulator &s) -> Process { co_await delay(s, 1_us); }(sim));
+    EXPECT_EQ(sim.liveProcesses(), 1u);
+    sim.run();
+    EXPECT_EQ(sim.liveProcesses(), 0u);
+    EXPECT_EQ(sim.reclaimProcesses(), 0u);
+}
+
+TEST(Process, ReclaimFreesSuspendedFramesAndPendingEvents)
+{
+    // One process waits on a completion nobody fires, another (and the
+    // Task it awaits) sleeps past the end of the run: reclaiming frees
+    // both frames, the Task's included, and drops the pending resume.
+    Simulator sim;
+    auto token = std::make_shared<int>(0);
+    Completion never(sim);
+    spawn(sim, [](Completion c, std::shared_ptr<int> held) -> Process {
+        co_await c;
+        (void)held;
+    }(never, token));
+    spawn(sim, [](Simulator &s, std::shared_ptr<int> held) -> Process {
+        co_await [](Simulator &s2, std::shared_ptr<int> t) -> Task<void> {
+            co_await delay(s2, 1_ms);
+            (void)t;
+        }(s, held);
+    }(sim, token));
+    sim.runUntil(1_us);
+    EXPECT_EQ(sim.liveProcesses(), 2u);
+    EXPECT_EQ(token.use_count(), 4); // ours, two frames, the Task frame
+    EXPECT_EQ(sim.reclaimProcesses(), 2u);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(sim.liveProcesses(), 0u);
+    EXPECT_EQ(sim.nextEventTick(), Simulator::kNoPendingEvent);
+    sim.run(); // nothing left to resume
+}
+
+TEST(Process, SimulatorDestructorReclaimsSuspendedFrames)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        Simulator sim;
+        spawn(sim, [](Simulator &s, std::shared_ptr<int> held) -> Process {
+            co_await delay(s, 1_ms);
+            (void)held;
+        }(sim, token));
+        sim.runUntil(1_us);
+        EXPECT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
 } // namespace
 } // namespace smartds::sim

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "middletier/protocol.h"
 
 namespace smartds::middletier {
@@ -72,6 +74,28 @@ TEST(StorageHeader, DefaultHeaderDecodesToDefaults)
     EXPECT_EQ(back.vmId, 0u);
     EXPECT_EQ(back.latencySensitive, 0u);
     EXPECT_EQ(back.compressionEffort, 1u);
+}
+
+TEST(StorageHeader, SpanDecodeFailsClosedOnShortInput)
+{
+    StorageHeader h;
+    h.tag = 7;
+    h.blockChecksum = 0xabcd;
+    const auto wire = h.encode();
+    const std::vector<std::uint8_t> bytes(wire.begin(), wire.end());
+    const auto full = StorageHeader::decode(bytes);
+    ASSERT_TRUE(full.has_value());
+    EXPECT_EQ(*full, h);
+
+    // Trailing bytes past the header are ignored.
+    std::vector<std::uint8_t> longer = bytes;
+    longer.push_back(0xff);
+    EXPECT_EQ(StorageHeader::decode(longer), h);
+
+    const std::vector<std::uint8_t> truncated(wire.begin(), wire.end() - 1);
+    EXPECT_FALSE(StorageHeader::decode(truncated).has_value());
+    EXPECT_FALSE(
+        StorageHeader::decode(std::span<const std::uint8_t>{}).has_value());
 }
 
 } // namespace
