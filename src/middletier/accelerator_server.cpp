@@ -98,11 +98,15 @@ sim::Task<void>
 AcceleratorServer::chargeWrite(WriteJob &job)
 {
     const net::Message &msg = job.msg;
+    job.block = compressBlock(job);
     const Bytes payload = msg.payload.size;
     const Bytes compressed = job.block.size;
+    const bool ec = config_.policy == ReplicationPolicy::ErasureCode;
 
     // --- CPU phase 1: parse the header, program the accelerator --------
     co_await chargeParse(msg);
+    if (!job.compress && !ec)
+        co_return; // latency sensitive: nothing for the card to do
     // Doorbell + descriptor fetch before the card can start its DMA.
     co_await sim::delay(sim_, calibration::pcieIdleLatency);
 
@@ -115,19 +119,21 @@ AcceleratorServer::chargeWrite(WriteJob &job)
     // DDIO hits require the NIC-written lines to still be LLC-resident;
     // an antagonist loading the memory system also thrashes the cache,
     // so the hit rate collapses with utilisation (Figure 9's Acc curve).
-    const double u = memory_.utilization();
-    const bool ddio_hit = acc_.ddio && !rng_.chance(u * u);
-    const Tick engine_start = sim_.now();
-    co_await dmaIn(payload, ddio_hit ? nullptr : fpgaRead_, !ddio_hit);
-    co_await sim::transferAsync(sim_, *engine_, payload);
-    co_await dmaOut(compressed);
-    span(msg.trace, trace::Stage::Engine, engine_start);
+    if (job.compress) {
+        const double u = memory_.utilization();
+        const bool ddio_hit = acc_.ddio && !rng_.chance(u * u);
+        const Tick engine_start = sim_.now();
+        co_await dmaIn(payload, ddio_hit ? nullptr : fpgaRead_, !ddio_hit);
+        co_await sim::transferAsync(sim_, *engine_, payload);
+        co_await dmaOut(compressed);
+        span(msg.trace, trace::Stage::Engine, engine_start);
+    }
 
     // --- Optional EC pass: second trip through the accelerator ----------
     // The FPGA exposes the RS engine next to the compressor, so erasure
     // coding costs another DMA round trip: compressed stripe in, k + m
     // shards out.
-    if (config_.policy == ReplicationPolicy::ErasureCode) {
+    if (ec) {
         const Tick ec_start = sim_.now();
         co_await dmaIn(compressed, fpgaRead_, false);
         co_await sim::transferAsync(sim_, *engine_, compressed);
@@ -203,7 +209,7 @@ AcceleratorServer::postToStorage(net::Message m, unsigned, bool first)
 }
 
 sim::Task<void>
-AcceleratorServer::replyToVm(net::Message reply, unsigned, bool)
+AcceleratorServer::replyToVm(Front &, net::Message reply, Reply)
 {
     // Read replies DMA their plaintext out of host memory.
     const bool payload = reply.kind == net::MessageKind::ReadReply;

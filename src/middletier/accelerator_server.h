@@ -60,8 +60,8 @@ class AcceleratorServer : public RequestEngine
     sim::Task<void> chargeDecompress(const net::Message &msg, Bytes in,
                                      Bytes out) override;
     void postToStorage(net::Message m, unsigned lane, bool first) override;
-    sim::Task<void> replyToVm(net::Message reply, unsigned port,
-                              bool cached) override;
+    sim::Task<void> replyToVm(Front &front, net::Message reply,
+                              Reply body) override;
 
     /** The FPGA DMA-reads @p bytes from host memory through @p flow. */
     sim::Task<void> dmaIn(Bytes bytes, sim::FairShareResource::Flow *flow,

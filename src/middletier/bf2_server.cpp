@@ -87,6 +87,7 @@ sim::Task<void>
 Bf2Server::chargeWrite(WriteJob &job)
 {
     const net::Message &msg = job.msg;
+    job.block = compressBlock(job);
     const Bytes payload = msg.payload.size;
     const Bytes compressed = job.block.size;
 
@@ -94,9 +95,11 @@ Bf2Server::chargeWrite(WriteJob &job)
     co_await chargeParse(msg);
 
     // --- Off-path engine: DRAM read -> compress -> DRAM write -----------
-    const Tick engine_start = sim_.now();
-    co_await engineTrip(payload, payload, compressed);
-    span(msg.trace, trace::Stage::Engine, engine_start);
+    if (job.compress) {
+        const Tick engine_start = sim_.now();
+        co_await engineTrip(payload, payload, compressed);
+        span(msg.trace, trace::Stage::Engine, engine_start);
+    }
 
     // --- Optional EC pass: another engine trip through device DRAM ------
     // BF2 runs erasure coding on the same off-path accelerator complex:
@@ -164,16 +167,16 @@ Bf2Server::postToStorage(net::Message m, unsigned lane, bool)
 }
 
 sim::Task<void>
-Bf2Server::replyToVm(net::Message reply, unsigned port, bool cached)
+Bf2Server::replyToVm(Front &front, net::Message reply, Reply body)
 {
     // The reply leaves from device DRAM: its plaintext (unless the cache
     // hit already read it), or just the header of a write ack.
-    if (!cached)
+    if (body != Reply::Cached)
         co_await sim::transferAsync(sim_, *txRead_,
                                     reply.payload.size
                                         ? reply.payload.size
                                         : StorageHeader::wireSize);
-    ports_[port]->send(std::move(reply));
+    ports_[front.port]->send(std::move(reply));
 }
 
 } // namespace smartds::middletier

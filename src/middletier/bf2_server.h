@@ -64,8 +64,8 @@ class Bf2Server : public RequestEngine
     sim::Task<void> chargeDecompress(const net::Message &msg, Bytes in,
                                      Bytes out) override;
     void postToStorage(net::Message m, unsigned lane, bool first) override;
-    sim::Task<void> replyToVm(net::Message reply, unsigned port,
-                              bool cached) override;
+    sim::Task<void> replyToVm(Front &front, net::Message reply,
+                              Reply body) override;
 
     /** Off-path engine trip: DRAM read -> engine -> DRAM write. */
     sim::Task<void> engineTrip(Bytes in, Bytes engine, Bytes out);

@@ -80,6 +80,7 @@ CpuOnlyServer::chargeWrite(WriteJob &job)
     // hardware engines do not (their pipelines are deterministic), which
     // is one reason the paper's software tails fan out under load.
     const net::Message &msg = job.msg;
+    job.block = compressBlock(job);
     const Bytes payload = msg.payload.size;
     const Bytes compressed = job.block.size;
     const double content_factor = 0.7 + 0.55 * msg.payload.compressibility;
@@ -93,15 +94,19 @@ CpuOnlyServer::chargeWrite(WriteJob &job)
     const double nominal_rate =
         1.0 / toSeconds(compressTicksPerByte_); // bytes/second
     const double effective_rate = std::min(nominal_rate, mem_bound_rate);
-    const Tick compress_ticks = transferTicks(
-        payload, effective_rate / (content_factor * smt_jitter));
+    // A latency-sensitive write skips compression: the core only parses
+    // and posts, and the payload never streams through it.
+    const Tick compress_ticks =
+        job.compress ? transferTicks(payload, effective_rate /
+                                                  (content_factor * smt_jitter))
+                     : 0;
 
     const std::uint32_t compute_depth =
         static_cast<std::uint32_t>(cores_.queueDepth());
     const Tick compute_start = sim_.now();
     co_await cores_.acquire();
     co_await stream(calibration::hostPerRequestSoftwareCost + compress_ticks,
-                    payload, compressed);
+                    job.compress ? payload : 0, job.compress ? compressed : 0);
     cores_.release();
     span(msg.trace, trace::Stage::HostCompute, compute_start, compute_depth);
 
@@ -184,7 +189,7 @@ CpuOnlyServer::postToStorage(net::Message m, unsigned, bool first)
 }
 
 sim::Task<void>
-CpuOnlyServer::replyToVm(net::Message reply, unsigned, bool)
+CpuOnlyServer::replyToVm(Front &, net::Message reply, Reply)
 {
     // Read replies DMA their plaintext out of host memory.
     const bool payload = reply.kind == net::MessageKind::ReadReply;

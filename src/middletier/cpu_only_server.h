@@ -46,8 +46,8 @@ class CpuOnlyServer : public RequestEngine
     sim::Task<void> chargeDecompress(const net::Message &msg, Bytes in,
                                      Bytes out) override;
     void postToStorage(net::Message m, unsigned lane, bool first) override;
-    sim::Task<void> replyToVm(net::Message reply, unsigned port,
-                              bool cached) override;
+    sim::Task<void> replyToVm(Front &front, net::Message reply,
+                              Reply body) override;
 
     /**
      * On one acquired core: run @p cpu ticks while @p in bytes stream in

@@ -61,36 +61,18 @@ MultiCardSmartDsServer::frontQp(unsigned port) const
 void
 MultiCardSmartDsServer::addUsageProbes(UsageProbes &probes)
 {
-    probes.add("mem.read", [this]() {
-        double bytes = 0.0;
-        for (auto &card : cards_) {
-            auto *f = card->smartNic().headerReadFlow();
-            bytes += f ? f->deliveredBytes() : 0.0;
-        }
-        return bytes;
-    });
-    probes.add("mem.write", [this]() {
-        double bytes = 0.0;
-        for (auto &card : cards_) {
-            auto *f = card->smartNic().headerWriteFlow();
-            bytes += f ? f->deliveredBytes() : 0.0;
-        }
-        return bytes;
-    });
-    probes.add("pcie.smartds.h2d", [this]() {
-        double bytes = 0.0;
-        for (auto &card : cards_)
-            bytes += static_cast<double>(
-                card->smartNic().pcieLink().h2d().totalBytes());
-        return bytes;
-    });
-    probes.add("pcie.smartds.d2h", [this]() {
-        double bytes = 0.0;
-        for (auto &card : cards_)
-            bytes += static_cast<double>(
-                card->smartNic().pcieLink().d2h().totalBytes());
-        return bytes;
-    });
+    // The host's counters are its cards' counters, summed by name.
+    std::vector<UsageProbes> per_card(cards_.size());
+    for (std::size_t c = 0; c < cards_.size(); ++c)
+        cards_[c]->addUsageProbes(per_card[c]);
+    for (std::size_t i = 0; i < per_card.front().probes.size(); ++i) {
+        probes.add(per_card.front().probes[i].name, [per_card, i]() {
+            double bytes = 0.0;
+            for (const UsageProbes &card : per_card)
+                bytes += card.probes[i].cumulativeBytes();
+            return bytes;
+        });
+    }
     for (std::size_t s = 0; s < switches_.size(); ++s) {
         auto *sw = switches_[s].get();
         probes.add("pcie.switch" + std::to_string(s) + ".root",

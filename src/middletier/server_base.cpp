@@ -126,234 +126,6 @@ MiddleTierServer::chooseDomainSpreadReplicas(
     return chosen;
 }
 
-MiddleTierServer::Placement
-MiddleTierServer::placeWrite(const ServerConfig &config,
-                             const net::Message &msg, Rng &rng)
-{
-    Placement p;
-    if (config.policy == ReplicationPolicy::ErasureCode) {
-        // EC stripes are placed per request and domain-spread; the
-        // chunk manager's sticky whole-chunk replica sets do not apply
-        // to shard placement.
-        p.nodes = chooseDomainSpreadReplicas(config.storageNodes,
-                                             config.writeFanout(), rng);
-        return p;
-    }
-    if (config.chunkManager) {
-        p.chunk = config.chunkManager->locate(msg.vmId, msg.blockOffset);
-        p.chunked = true;
-        config.chunkManager->recordWrite(p.chunk);
-        p.nodes = config.chunkManager->replicas(p.chunk, &health_);
-        return p;
-    }
-    p.nodes = chooseDomainSpreadReplicas(config.storageNodes,
-                                         config.replication, rng);
-    return p;
-}
-
-std::vector<net::NodeId>
-MiddleTierServer::readCandidates(const ServerConfig &config,
-                                 const net::Message &msg)
-{
-    if (config.policy == ReplicationPolicy::ErasureCode)
-        return config.storageNodes; // shards are placed per request
-    if (config.chunkManager) {
-        const ChunkRef chunk =
-            config.chunkManager->locate(msg.vmId, msg.blockOffset);
-        return config.chunkManager->replicas(chunk, &health_);
-    }
-    return config.storageNodes;
-}
-
-sim::Completion
-MiddleTierServer::expectAck(sim::Simulator &sim, std::uint64_t tag,
-                            net::NodeId node, Tick timeout)
-{
-    sim::Completion ack(sim);
-    const AckKey key{tag, node};
-    const auto [it, fresh] = pendingAcks_.emplace(key, AckEntry{ack, {}});
-    SMARTDS_CHECK(fresh, "duplicate ack expectation for tag %llu",
-                   static_cast<unsigned long long>(tag));
-    if (timeout > 0) {
-        // The timer completes the same completion the waiter holds, so a
-        // lost ack needs no watcher coroutine and cannot leak one.
-        it->second.timer = sim.schedule(
-            timeout,
-            [this, key]() {
-                const auto entry = pendingAcks_.find(key);
-                if (entry == pendingAcks_.end())
-                    return;
-                sim::Completion waiter = entry->second.completion;
-                pendingAcks_.erase(entry);
-                ++failover_.replicaTimeouts;
-                waiter.complete(0);
-            },
-            sim::EventTag::Nic);
-    }
-    return ack;
-}
-
-void
-MiddleTierServer::deliverAck(std::uint64_t tag, net::NodeId node)
-{
-    const auto it = pendingAcks_.find(AckKey{tag, node});
-    if (it == pendingAcks_.end()) {
-        // Late ack from a retired wait (the replica was retried or the
-        // block repaired in the background). Expected under failover.
-        ++failover_.staleAcks;
-        return;
-    }
-    sim::Completion waiter = it->second.completion;
-    it->second.timer.cancel();
-    pendingAcks_.erase(it);
-    waiter.complete(1);
-}
-
-sim::Completion
-MiddleTierServer::expectFetch(sim::Simulator &sim, std::uint64_t tag,
-                              Tick timeout)
-{
-    sim::Completion fetched(sim);
-    const auto [it, fresh] =
-        pendingFetches_.emplace(tag, FetchEntry{fetched, {}});
-    SMARTDS_CHECK(fresh, "duplicate pending fetch for tag %llu",
-                  static_cast<unsigned long long>(tag));
-    if (timeout > 0) {
-        // Holding the timer per-entry (and cancelling it on delivery)
-        // is load-bearing: with a bare schedule(), a timer armed for an
-        // earlier probe of the same tag would fire into a later probe's
-        // wait and fail it spuriously.
-        it->second.timer = sim.schedule(
-            timeout,
-            [this, tag]() {
-                const auto entry = pendingFetches_.find(tag);
-                if (entry == pendingFetches_.end())
-                    return;
-                sim::Completion waiter = entry->second.completion;
-                pendingFetches_.erase(entry);
-                waiter.complete(0);
-            },
-            sim::EventTag::Nic);
-    }
-    return fetched;
-}
-
-void
-MiddleTierServer::deliverFetch(net::Message msg)
-{
-    const auto it = pendingFetches_.find(msg.tag);
-    if (it == pendingFetches_.end()) {
-        // The fetch timed out and moved on; late data is dropped.
-        ++failover_.staleAcks;
-        return;
-    }
-    sim::Completion done = it->second.completion;
-    it->second.timer.cancel();
-    pendingFetches_.erase(it);
-    fetchReplies_[msg.tag] = std::move(msg);
-    done.complete(1);
-}
-
-net::Message
-MiddleTierServer::takeFetchReply(std::uint64_t tag)
-{
-    const auto it = fetchReplies_.find(tag);
-    SMARTDS_CHECK(it != fetchReplies_.end(), "lost fetch reply");
-    net::Message reply = std::move(it->second);
-    fetchReplies_.erase(it);
-    return reply;
-}
-
-MiddleTierServer::VerifiedBlock
-MiddleTierServer::verifyFetchedBlock(const ServerConfig &config,
-                                     const net::Message &reply)
-{
-    VerifiedBlock out;
-    out.corrupt = reply.payload.corrupted;
-    if (out.corrupt || !reply.payload.data)
-        return out;
-    std::optional<StorageHeader> hdr;
-    if (reply.headerData)
-        hdr = StorageHeader::decode(*reply.headerData);
-    const corpus::BlockCodecCache::Entry *cached =
-        config.blockCache
-            ? config.blockCache->lookupCompressed(reply.payload.blockId,
-                                                  reply.payload.data->data(),
-                                                  reply.payload.data->size())
-            : nullptr;
-    if (cached) {
-        // The hash guard proved the stored bytes are the cached
-        // compressed block, so decompression is a lookup; the header
-        // checksum is still compared, as on the slow path.
-        if (hdr && hdr->blockChecksum != 0 &&
-            cached->plainChecksum != hdr->blockChecksum) {
-            out.corrupt = true;
-            return out;
-        }
-        out.plain = cached->plain;
-        return out;
-    }
-    const Bytes plain_size = reply.payload.originalSize
-                                 ? reply.payload.originalSize
-                                 : reply.payload.size;
-    auto plain = lz4::decompress(*reply.payload.data, plain_size);
-    if (!plain) {
-        out.corrupt = true;
-        return out;
-    }
-    if (hdr && hdr->blockChecksum != 0 &&
-        xxhash32(*plain) != hdr->blockChecksum) {
-        out.corrupt = true;
-        return out;
-    }
-    out.plain =
-        std::make_shared<const std::vector<std::uint8_t>>(std::move(*plain));
-    return out;
-}
-
-MiddleTierServer::VerifiedBlock
-MiddleTierServer::decodeEcStripe(const ServerConfig &config,
-                                 const std::vector<unsigned> &shard_idx,
-                                 const std::vector<net::Message> &shard_msgs,
-                                 Bytes stripe_bytes)
-{
-    VerifiedBlock out;
-    if (shard_msgs.empty() || !shard_msgs.front().payload.data)
-        return out; // timing-only stripe: nothing to reassemble
-    std::vector<std::pair<unsigned, const std::vector<std::uint8_t> *>>
-        pairs;
-    pairs.reserve(shard_idx.size());
-    for (std::size_t i = 0; i < shard_idx.size(); ++i)
-        pairs.emplace_back(shard_idx[i], shard_msgs[i].payload.data.get());
-    auto stripe = ecCodec(config).decode(pairs, stripe_bytes);
-    if (!stripe) {
-        out.corrupt = true;
-        return out;
-    }
-    // The stripe is the compressed block; decompress and verify the
-    // header checksum the VM stamped at write time.
-    const net::Message &stored = shard_msgs.front();
-    const Bytes plain_size = stored.payload.originalSize
-                                 ? stored.payload.originalSize
-                                 : stripe_bytes;
-    auto plain = lz4::decompress(*stripe, plain_size);
-    if (!plain) {
-        out.corrupt = true;
-        return out;
-    }
-    if (stored.headerData) {
-        const auto hdr = StorageHeader::decode(*stored.headerData);
-        if (hdr && hdr->blockChecksum != 0 &&
-            xxhash32(*plain) != hdr->blockChecksum) {
-            out.corrupt = true;
-            return out;
-        }
-    }
-    out.plain =
-        std::make_shared<const std::vector<std::uint8_t>>(std::move(*plain));
-    return out;
-}
-
 net::NodeId
 MiddleTierServer::pickReplacement(const ServerConfig &config, Rng &rng,
                                   const std::vector<net::NodeId> &placement,
@@ -399,81 +171,6 @@ MiddleTierServer::pickReplacement(const ServerConfig &config, Rng &rng,
     return candidates[rng.below(candidates.size())];
 }
 
-sim::Process
-MiddleTierServer::replicateWithFailover(sim::Simulator &sim, Rng &rng,
-                                        const ServerConfig &config,
-                                        ReplicaTask task)
-{
-    Tick timeout = config.failover.ackTimeout;
-    net::NodeId target = task.target;
-    bool durable = false;
-    for (unsigned attempt = 0;; ++attempt) {
-        sim::Completion ack = expectAck(sim, task.tag, target, timeout);
-        task.send(target);
-        failover_.replicaBytesSent += task.blockBytes;
-        if (co_await ack != 0) {
-            health_.noteAck(target);
-            durable = true;
-            break;
-        }
-        if (health_.noteTimeout(target))
-            ++failover_.nodesSuspected;
-        if (attempt >= config.failover.maxRetries)
-            break;
-        ++failover_.replicaRetries;
-        // First retry stays on the same node (a single timeout is often
-        // transient); repeat offenders — or nodes already suspected —
-        // get the replica moved to a healthy peer.
-        if (attempt > 0 || health_.suspected(target)) {
-            const net::NodeId next =
-                pickReplacement(config, rng, *task.placement, target);
-            if (next != target) {
-                ++failover_.replicaReplacements;
-                (*task.placement)[task.slot] = next;
-                if (task.chunked && config.chunkManager)
-                    config.chunkManager->replaceReplica(task.chunk, target,
-                                                        next);
-                target = next;
-            }
-        }
-        timeout = std::min(timeout * 2, config.failover.ackTimeoutCap);
-    }
-    if (!durable) {
-        ++failover_.replicasAbandoned;
-        // The block is about to be rewritten by a background repair /
-        // reconstruction; the cached copy must not outlive it.
-        cacheInvalidate(task.vmId, task.blockOffset);
-        if (maintenance_ && task.makeRepair) {
-            // Move the replica off the failing node for good and hand the
-            // resend to the background repair queue; the serving path
-            // stops waiting on it.
-            net::NodeId repair_target =
-                pickReplacement(config, rng, *task.placement, target);
-            if (repair_target != target) {
-                (*task.placement)[task.slot] = repair_target;
-                if (task.chunked && config.chunkManager)
-                    config.chunkManager->replaceReplica(task.chunk, target,
-                                                        repair_target);
-            }
-            // An abandoned EC shard is reconstructed from k surviving
-            // shards; a whole-block replica is simply re-read and
-            // re-sent. Keyed by (tag, slot) so a flapping node cannot
-            // enqueue the same shard twice.
-            const unsigned fan_in = task.ec ? config.ec.dataShards : 1;
-            if (maintenance_->scheduleRepair({task.tag, task.slot},
-                                             task.blockBytes, fan_in,
-                                             task.makeRepair(repair_target)))
-                ++failover_.repairsScheduled;
-        }
-    }
-    if (task.ec)
-        ecLedgerArrive(task.tag, task.slot);
-    if (task.quorumLatch)
-        task.quorumLatch->tryArrive();
-    if (task.allLatch)
-        task.allLatch->arrive();
-}
-
 const ec::RsCodec &
 MiddleTierServer::ecCodec(const ServerConfig &config)
 {
@@ -516,14 +213,13 @@ MiddleTierServer::encodeShards(const ServerConfig &config, std::uint64_t tag,
             p.data = std::move(bytes);
         }
     }
-    ++failover_.stripesEncoded;
-    ecLedgerOpen(tag, n);
+    noteStripe(tag, n);
     return shards;
 }
 
 RequestEngine::RequestEngine(net::Fabric &fabric, ServerConfig config)
-    : MiddleTierServer(fabric), sim_(fabric.simulator()),
-      config_(std::move(config)), rng_(config_.seed)
+    : fabric_(fabric), sim_(fabric.simulator()), config_(std::move(config)),
+      rng_(config_.seed)
 {
     initFailover(config_);
 }
@@ -533,13 +229,11 @@ RequestEngine::dispatch(net::Message msg, unsigned port)
 {
     switch (msg.kind) {
       case net::MessageKind::WriteRequest:
-        sim::spawn(sim_, serveWrite(std::move(msg), port));
+      case net::MessageKind::ReadRequest:
+        sim::spawn(sim_, serve(std::move(msg), port));
         break;
       case net::MessageKind::WriteReplicaAck:
         deliverAck(msg.tag, msg.src);
-        break;
-      case net::MessageKind::ReadRequest:
-        sim::spawn(sim_, serveRead(std::move(msg), port));
         break;
       case net::MessageKind::ReadFetchReply:
         deliverFetch(std::move(msg));
@@ -548,6 +242,16 @@ RequestEngine::dispatch(net::Message msg, unsigned port)
         panic("%s server: unexpected message kind %u", designName(design()),
               static_cast<unsigned>(msg.kind));
     }
+}
+
+sim::Process
+RequestEngine::serve(net::Message msg, unsigned port)
+{
+    Front front{port};
+    if (msg.kind == net::MessageKind::ReadRequest)
+        co_await serveRead(front, std::move(msg));
+    else
+        co_await serveWrite(front, std::move(msg));
 }
 
 namespace {
@@ -596,11 +300,226 @@ fetchFrom(const net::Message &req, net::NodeId target, Bytes size_hint)
     return fetch;
 }
 
+/**
+ * @p bytes (the block, or the stripe, @p stored describes) as @p
+ * plain_size bytes of plaintext, checked against the checksum the VM
+ * stamped into the stored header (0 = unchecked); null when they do not
+ * decode or do not match. Corpus blocks resolve through @p cache, whose
+ * hash guard proves the bytes are the cached compressed block, so
+ * decompression is a lookup. Latency-sensitive writes store the block
+ * uncompressed.
+ */
+std::shared_ptr<const std::vector<std::uint8_t>>
+openBlock(const net::Message &stored, const std::vector<std::uint8_t> &bytes,
+          Bytes plain_size, const corpus::BlockCodecCache *cache)
+{
+    const corpus::BlockCodecCache::Entry *cached =
+        cache ? cache->lookupCompressed(stored.payload.blockId, bytes.data(),
+                                        bytes.size())
+              : nullptr;
+    std::shared_ptr<const std::vector<std::uint8_t>> plain;
+    if (cached)
+        plain = cached->plain;
+    else if (auto raw = stored.payload.compressed
+                            ? lz4::decompress(bytes, plain_size)
+                            : std::optional(bytes))
+        plain = std::make_shared<const std::vector<std::uint8_t>>(
+            std::move(*raw));
+    else
+        return nullptr;
+    if (stored.headerData) {
+        const auto hdr = StorageHeader::decode(*stored.headerData);
+        if (hdr && hdr->blockChecksum != 0 &&
+            (cached ? cached->plainChecksum : xxhash32(*plain)) !=
+                hdr->blockChecksum)
+            return nullptr;
+    }
+    return plain;
+}
+
 } // namespace
 
-net::Payload
-RequestEngine::compressBlock(const net::Message &msg) const
+RequestEngine::Placement
+RequestEngine::placeWrite(const net::Message &msg)
 {
+    const ServerConfig &config = config_;
+    Placement p;
+    if (config.policy == ReplicationPolicy::ErasureCode) {
+        // EC stripes are placed per request and domain-spread; the
+        // chunk manager's sticky whole-chunk replica sets do not apply
+        // to shard placement.
+        p.nodes = chooseDomainSpreadReplicas(config.storageNodes,
+                                             config.writeFanout(), rng_);
+        return p;
+    }
+    if (config.chunkManager) {
+        p.chunk = config.chunkManager->locate(msg.vmId, msg.blockOffset);
+        p.chunked = true;
+        config.chunkManager->recordWrite(p.chunk);
+        p.nodes = config.chunkManager->replicas(p.chunk, &health_);
+        return p;
+    }
+    p.nodes = chooseDomainSpreadReplicas(config.storageNodes,
+                                         config.replication, rng_);
+    return p;
+}
+
+std::vector<net::NodeId>
+RequestEngine::readCandidates(const net::Message &msg)
+{
+    const ServerConfig &config = config_;
+    if (config.policy == ReplicationPolicy::ErasureCode)
+        return config.storageNodes; // shards are placed per request
+    if (config.chunkManager) {
+        const ChunkRef chunk =
+            config.chunkManager->locate(msg.vmId, msg.blockOffset);
+        return config.chunkManager->replicas(chunk, &health_);
+    }
+    return config.storageNodes;
+}
+
+template <typename Map>
+sim::Completion
+RequestEngine::expect(Map &pending, typename Map::key_type key, Tick timeout,
+                      std::uint64_t *timeouts)
+{
+    sim::Completion done(sim_);
+    const auto [it, fresh] = pending.emplace(key, Pending{done, {}});
+    SMARTDS_CHECK(fresh, "duplicate wait for one reply");
+    if (timeout > 0) {
+        // The timer completes the same completion the waiter holds, so a
+        // lost reply needs no watcher coroutine and cannot leak one.
+        it->second.timer = sim_.schedule(
+            timeout,
+            [&pending, key, timeouts]() {
+                const auto entry = pending.find(key);
+                if (entry == pending.end())
+                    return;
+                sim::Completion waiter = entry->second.completion;
+                pending.erase(entry);
+                if (timeouts)
+                    ++*timeouts;
+                waiter.complete(0);
+            },
+            sim::EventTag::Nic);
+    }
+    return done;
+}
+
+template <typename Map>
+bool
+RequestEngine::deliver(Map &pending, typename Map::key_type key)
+{
+    const auto it = pending.find(key);
+    if (it == pending.end()) {
+        // A late reply to a retired wait (the replica was retried, the
+        // fetch moved on, or the block was repaired in the background):
+        // expected under failover, and dropped.
+        ++failover_.staleAcks;
+        return false;
+    }
+    sim::Completion waiter = it->second.completion;
+    it->second.timer.cancel();
+    pending.erase(it);
+    waiter.complete(1);
+    return true;
+}
+
+void
+RequestEngine::deliverAck(std::uint64_t tag, net::NodeId node)
+{
+    deliver(pendingAcks_, {tag, node});
+}
+
+void
+RequestEngine::deliverFetch(net::Message msg)
+{
+    // The waiter resumes in a later event, after the reply is stashed.
+    if (deliver(pendingFetches_, msg.tag))
+        fetchReplies_[msg.tag] = std::move(msg);
+}
+
+sim::Process
+RequestEngine::replicateWithFailover(ReplicaTask task)
+{
+    const ServerConfig &config = config_;
+    Tick timeout = config.failover.ackTimeout;
+    net::NodeId target = task.target;
+    bool durable = false;
+    for (unsigned attempt = 0;; ++attempt) {
+        sim::Completion ack = expect(pendingAcks_, {task.tag, target}, timeout,
+                                     &failover_.replicaTimeouts);
+        task.send(target);
+        failover_.replicaBytesSent += task.blockBytes;
+        if (co_await ack != 0) {
+            health_.noteAck(target);
+            durable = true;
+            break;
+        }
+        if (health_.noteTimeout(target))
+            ++failover_.nodesSuspected;
+        if (attempt >= config.failover.maxRetries)
+            break;
+        ++failover_.replicaRetries;
+        // First retry stays on the same node (a single timeout is often
+        // transient); repeat offenders — or nodes already suspected —
+        // get the replica moved to a healthy peer.
+        if (attempt > 0 || health_.suspected(target)) {
+            const net::NodeId next =
+                pickReplacement(config, rng_, *task.placement, target);
+            if (next != target) {
+                ++failover_.replicaReplacements;
+                (*task.placement)[task.slot] = next;
+                if (task.chunked && config.chunkManager)
+                    config.chunkManager->replaceReplica(task.chunk, target,
+                                                        next);
+                target = next;
+            }
+        }
+        timeout = std::min(timeout * 2, config.failover.ackTimeoutCap);
+    }
+    if (!durable) {
+        ++failover_.replicasAbandoned;
+        // The block is about to be rewritten by a background repair /
+        // reconstruction; the cached copy must not outlive it.
+        cacheInvalidate(task.vmId, task.blockOffset);
+        if (maintenance_ && task.makeRepair) {
+            // Move the replica off the failing node for good and hand the
+            // resend to the background repair queue; the serving path
+            // stops waiting on it.
+            net::NodeId repair_target =
+                pickReplacement(config, rng_, *task.placement, target);
+            if (repair_target != target) {
+                (*task.placement)[task.slot] = repair_target;
+                if (task.chunked && config.chunkManager)
+                    config.chunkManager->replaceReplica(task.chunk, target,
+                                                        repair_target);
+            }
+            // An abandoned EC shard is reconstructed from k surviving
+            // shards; a whole-block replica is simply re-read and
+            // re-sent. Keyed by (tag, slot) so a flapping node cannot
+            // enqueue the same shard twice.
+            const unsigned fan_in = task.ec ? config.ec.dataShards : 1;
+            if (maintenance_->scheduleRepair({task.tag, task.slot},
+                                             task.blockBytes, fan_in,
+                                             task.makeRepair(repair_target)))
+                ++failover_.repairsScheduled;
+        }
+    }
+    if (task.ec)
+        ecLedgerArrive(task.tag, task.slot);
+    if (task.quorumLatch)
+        task.quorumLatch->tryArrive();
+    if (task.allLatch)
+        task.allLatch->arrive();
+}
+
+net::Payload
+RequestEngine::compressBlock(const WriteJob &job) const
+{
+    const net::Message &msg = job.msg;
+    if (!job.compress)
+        return msg.payload; // replicated as received
     net::Payload block;
     block.compressed = true;
     block.originalSize = msg.payload.size;
@@ -636,24 +555,32 @@ RequestEngine::encodeStripe(WriteJob &job)
     return job.shards.front().size * static_cast<Bytes>(job.shards.size());
 }
 
-sim::Process
-RequestEngine::serveWrite(net::Message msg, unsigned port)
+sim::Task<sim::Completion>
+RequestEngine::serveWrite(Front &front, net::Message msg)
 {
     // Write-through coherence: the cached copy goes stale the moment the
     // write is accepted, before any concurrent read can hit it.
     if (cacheInvalidate(msg.vmId, msg.blockOffset))
         span(msg.trace, trace::Stage::CacheInvalidate, sim_.now());
 
-    WriteJob job{msg, compressBlock(msg), {}};
+    // Listing 1's is_latency_important branch: such writes are forwarded
+    // uncompressed on every design.
+    WriteJob job{front, msg, !msg.latencySensitive, {}, {}};
     co_await chargeWrite(job);
 
     // Each replica (or RS shard) runs its own failover loop (timeout,
     // retry, re-placement); the VM is acknowledged once the quorum is
     // durable.
-    Placement placement = placeWrite(config_, msg, rng_);
+    Placement placement = placeWrite(msg);
     auto nodes =
         std::make_shared<std::vector<net::NodeId>>(std::move(placement.nodes));
-    const unsigned quorum = writeQuorum(config_, nodes->size());
+    // Acks before the VM reply (0 = all). Under EC the quorum never drops
+    // below k: fewer durable shards cannot reconstruct the stripe.
+    unsigned quorum = config_.failover.ackQuorum;
+    if (quorum == 0 || quorum > nodes->size())
+        quorum = static_cast<unsigned>(nodes->size());
+    else if (config_.policy == ReplicationPolicy::ErasureCode)
+        quorum = std::max(quorum, config_.ec.dataShards);
     auto quorum_acks = std::make_shared<sim::CountLatch>(sim_, quorum);
     auto all_acks = std::make_shared<sim::CountLatch>(
         sim_, static_cast<unsigned>(nodes->size()));
@@ -663,18 +590,9 @@ RequestEngine::serveWrite(net::Message msg, unsigned port)
     for (unsigned r = 0; r < nodes->size(); ++r) {
         // Under EC, slot r carries shard r of the stripe; under
         // replication it carries a whole-block copy.
-        net::Message replica;
-        replica.kind = net::MessageKind::WriteReplica;
-        replica.headerBytes = StorageHeader::wireSize;
-        replica.tag = msg.tag;
-        replica.issueTick = msg.issueTick;
-        replica.trace = msg.trace;
-        replica.payload = ec ? job.shards[r] : job.block;
-        replica.headerData = msg.headerData;
-
         ReplicaTask task;
         task.tag = msg.tag;
-        task.blockBytes = replica.payload.size;
+        task.blockBytes = ec ? job.shards[r].size : job.block.size;
         task.target = (*nodes)[r];
         task.slot = r;
         task.ec = ec;
@@ -685,20 +603,8 @@ RequestEngine::serveWrite(net::Message msg, unsigned port)
         task.chunked = placement.chunked;
         task.quorumLatch = quorum_acks;
         task.allLatch = all_acks;
-        task.send = [this, replica, lane = port + r,
-                     first = (r == 0)](net::NodeId dst) mutable {
-            net::Message m = replica;
-            m.dst = dst;
-            postToStorage(std::move(m), lane, first);
-            first = false;
-        };
-        // The send closure is self-contained (it shares the compressed
-        // bytes), so a deferred background repair can simply re-run it.
-        task.makeRepair = [send = task.send](net::NodeId dst) {
-            return [send, dst]() mutable { send(dst); };
-        };
-        sim::spawn(sim_, replicateWithFailover(sim_, rng_, config_,
-                                               std::move(task)));
+        bindReplica(job, task);
+        sim::spawn(sim_, replicateWithFailover(std::move(task)));
     }
     co_await quorum_acks->wait();
     span(msg.trace, trace::Stage::Replicate, replicate_start,
@@ -706,13 +612,39 @@ RequestEngine::serveWrite(net::Message msg, unsigned port)
     if (!all_acks->wait().done())
         ++failover_.quorumCompletions;
 
-    co_await replyToVm(replyTo(msg, net::MessageKind::WriteReply), port,
-                       false);
+    co_await replyToVm(front, replyTo(msg, net::MessageKind::WriteReply),
+                       Reply::WriteAck);
     noteCompleted(msg.payload.size);
+    co_return all_acks->wait();
 }
 
-sim::Process
-RequestEngine::serveRead(net::Message msg, unsigned port)
+void
+RequestEngine::bindReplica(WriteJob &job, ReplicaTask &task)
+{
+    net::Message replica;
+    replica.kind = net::MessageKind::WriteReplica;
+    replica.headerBytes = StorageHeader::wireSize;
+    replica.tag = job.msg.tag;
+    replica.issueTick = job.msg.issueTick;
+    replica.trace = job.msg.trace;
+    replica.payload = task.ec ? job.shards[task.slot] : job.block;
+    replica.headerData = job.msg.headerData;
+    task.send = [this, replica, lane = job.front.port + task.slot,
+                 first = (task.slot == 0)](net::NodeId dst) mutable {
+        net::Message m = replica;
+        m.dst = dst;
+        postToStorage(std::move(m), lane, first);
+        first = false;
+    };
+    // The send closure is self-contained (it shares the compressed
+    // bytes), so a deferred background repair can simply re-run it.
+    task.makeRepair = [send = task.send](net::NodeId dst) {
+        return [send, dst]() mutable { send(dst); };
+    };
+}
+
+sim::Task<void>
+RequestEngine::serveRead(Front &front, net::Message msg)
 {
     co_await chargeParse(msg);
 
@@ -727,62 +659,190 @@ RequestEngine::serveRead(net::Message msg, unsigned port)
             const Tick hit_start = sim_.now();
             co_await chargeCacheHit(cached);
             span(msg.trace, trace::Stage::CacheHit, hit_start);
-            co_await replyToVm(readReply(msg, cached.plainSize, cached.plain,
+            co_await replyToVm(front,
+                               readReply(msg, cached.plainSize, cached.plain,
                                          cached.compressibility),
-                               port, true);
+                               Reply::Cached);
             co_return;
         }
         span(msg.trace, trace::Stage::CacheMiss, sim_.now());
     }
 
-    Fetched block;
-    if (config_.policy == ReplicationPolicy::ErasureCode)
-        block = co_await fetchStripe(msg, port);
-    else
-        block = co_await fetchReplica(msg, port);
+    const Fetched block = co_await gather(front, msg);
     co_await chargeDecompress(msg, block.stored, block.plain);
 
     // Keep the verified plaintext for future hits on this block.
     if (block.served && readCache_)
         readCache_->insert(msg.vmId, msg.blockOffset,
                            {block.plain, block.compressibility, block.data});
-    co_await replyToVm(readReply(msg, block.plain, block.data,
+    co_await replyToVm(front,
+                       readReply(msg, block.plain, block.data,
                                  block.compressibility),
-                       port, false);
+                       block.served ? Reply::Served : Reply::Unserved);
+}
+
+sim::Task<RequestEngine::Probe>
+RequestEngine::probe(Front &front, net::Message fetch, unsigned attempt)
+{
+    const std::uint64_t tag = fetch.tag;
+    sim::Completion fetched =
+        expect(pendingFetches_, tag, config_.failover.ackTimeout, nullptr);
+    postToStorage(std::move(fetch), front.port + attempt, false);
+    Probe out;
+    if (co_await fetched != 0) {
+        const auto it = fetchReplies_.find(tag);
+        SMARTDS_CHECK(it != fetchReplies_.end(), "lost fetch reply");
+        out.reply = std::move(it->second);
+        fetchReplies_.erase(it);
+    }
+    co_return out;
+}
+
+sim::Task<RequestEngine::VerifiedBlock>
+RequestEngine::verifyReplica(Front &, const net::Message &,
+                             const net::Message &reply)
+{
+    VerifiedBlock out;
+    out.corrupt = reply.payload.corrupted;
+    if (out.corrupt || !reply.payload.data)
+        co_return out;
+    out.plain = openBlock(reply, *reply.payload.data,
+                          reply.payload.originalSize
+                              ? reply.payload.originalSize
+                              : reply.payload.size,
+                          config_.blockCache);
+    out.corrupt = !out.plain;
+    co_return out;
+}
+
+sim::Task<bool>
+RequestEngine::shardIntact(Front &, const net::Message &,
+                           const net::Message &reply)
+{
+    co_return !reply.payload.corrupted &&
+        !(reply.payload.data &&
+          xxhash32(*reply.payload.data) != reply.payload.ecShardChecksum);
+}
+
+sim::Task<RequestEngine::VerifiedBlock>
+RequestEngine::assembleStripe(Front &, const net::Message &msg,
+                              const std::vector<unsigned> &shard_idx,
+                              const std::vector<net::Message> &shard_msgs,
+                              Bytes stripe_bytes, bool systematic)
+{
+    if (!systematic) {
+        const unsigned k = config_.ec.dataShards;
+        co_await chargeEcDecode(msg,
+                                ec::RsCodec::shardSize(stripe_bytes, k) *
+                                    static_cast<Bytes>(k),
+                                stripe_bytes);
+    }
+    // Reassemble functional bytes; the stripe is the stored block.
+    VerifiedBlock out;
+    if (shard_msgs.empty() || !shard_msgs.front().payload.data)
+        co_return out; // timing-only stripe: nothing to reassemble
+    std::vector<std::pair<unsigned, const std::vector<std::uint8_t> *>>
+        pairs;
+    pairs.reserve(shard_idx.size());
+    for (std::size_t i = 0; i < shard_idx.size(); ++i)
+        pairs.emplace_back(shard_idx[i], shard_msgs[i].payload.data.get());
+    const net::Message &stored = shard_msgs.front();
+    if (const auto stripe = ecCodec(config_).decode(pairs, stripe_bytes))
+        out.plain = openBlock(stored, *stripe,
+                              stored.payload.originalSize
+                                  ? stored.payload.originalSize
+                                  : stripe_bytes,
+                              config_.blockCache);
+    out.corrupt = !out.plain;
+    co_return out;
+}
+
+sim::Task<void>
+RequestEngine::chargeEcDecode(const net::Message &, Bytes, Bytes)
+{
+    panic("%s server has no host EC decode", designName(design()));
+    co_return;
+}
+
+void
+RequestEngine::postToStorage(net::Message, unsigned, bool)
+{
+    panic("%s server has no message transport", designName(design()));
 }
 
 sim::Task<RequestEngine::Fetched>
-RequestEngine::fetchReplica(const net::Message &msg, unsigned port)
+RequestEngine::gather(Front &front, const net::Message &msg)
 {
-    // Fetch the block from a storage server holding it (Fig. 3b). Crashed
-    // or slow replicas time out and the fetch fails over; corrupt data is
-    // caught by the end-to-end checksum and served from another replica.
-    const auto candidates = readCandidates(config_, msg);
-    SMARTDS_CHECK(!candidates.empty(), "read with no storage candidates");
+    // Probe the candidates round-robin from a random start until a
+    // replica verifies end to end (Fig. 3b) or, under EC, until any k
+    // shards pass their checksums. Crashed or slow nodes time out and
+    // corrupt data fails its checksum; either way the read fails over.
+    const bool ec = config_.policy == ReplicationPolicy::ErasureCode;
+    const ec::RsCodec *codec = ec ? &ecCodec(config_) : nullptr;
+    const unsigned k = ec ? codec->k() : 1;
+    const auto candidates = readCandidates(msg);
+    SMARTDS_CHECK(candidates.size() >= k,
+                  "read needs %u storage nodes, have %zu", k,
+                  candidates.size());
     const std::size_t start = rng_.below(candidates.size());
 
+    // Size hint for timing-mode storage synthesis: the client's
+    // compressed-size hint (or compressibility estimate), split k ways
+    // for a shard.
+    const Bytes stripe_hint = std::max<Bytes>(
+        msg.payload.size
+            ? msg.payload.size
+            : static_cast<Bytes>(
+                  static_cast<double>(msg.payload.originalSize) *
+                  msg.payload.compressibility),
+        1);
+
     Fetched out;
-    net::Message stored;
-    for (std::size_t a = 0; a < candidates.size() && !out.served; ++a) {
+    std::vector<unsigned> shard_idx;
+    std::vector<net::Message> got;
+    bool degraded = false;
+    const Tick collect_start = sim_.now();
+    for (std::size_t a = 0; a < candidates.size() && got.size() < k; ++a) {
         const net::NodeId target =
             candidates[(start + a) % candidates.size()];
-        sim::Completion fetched =
-            expectFetch(sim_, msg.tag, config_.failover.ackTimeout);
-        postToStorage(fetchFrom(msg, target, msg.payload.size),
-                      port + static_cast<unsigned>(a), false);
-        if (co_await fetched == 0) {
+        net::Message fetch = fetchFrom(
+            msg, target,
+            ec ? ec::RsCodec::shardSize(stripe_hint, k) : msg.payload.size);
+        if (ec) {
+            fetch.payload.ecK = static_cast<std::uint8_t>(k);
+            fetch.payload.ecM = static_cast<std::uint8_t>(codec->m());
+            fetch.payload.ecShard = static_cast<std::uint8_t>(
+                std::min<std::size_t>(got.size(), codec->n() - 1));
+            fetch.payload.ecStripeBytes = stripe_hint;
+        }
+        Probe p =
+            co_await probe(front, std::move(fetch), static_cast<unsigned>(a));
+        if (!p.reply) {
+            // A stale reply in the probe's place is no strike on the node.
             ++failover_.readFailovers;
-            if (health_.noteTimeout(target))
+            if (p.stale)
+                ++failover_.staleAcks;
+            else if (health_.noteTimeout(target))
                 ++failover_.nodesSuspected;
+            degraded = true;
             continue;
         }
         health_.noteAck(target);
 
-        net::Message candidate = takeFetchReply(msg.tag);
-        // End-to-end integrity: decompress, then verify the checksum the
-        // VM stamped into the storage header at write time.
-        const VerifiedBlock verified = verifyFetchedBlock(config_, candidate);
-        out.data = verified.plain;
+        net::Message &reply = *p.reply;
+        if (ec && reply.payload.ecK == 0) {
+            // Functional mode: this node holds no shard of the stripe
+            // (the stub reply) — normal when probing the whole pool.
+            degraded = true;
+            continue;
+        }
+        // End-to-end integrity: a shard's own checksum, or the block's
+        // decompressed bytes against the header the VM stamped.
+        VerifiedBlock verified;
+        if (ec)
+            verified.corrupt = !co_await shardIntact(front, msg, reply);
+        else
+            verified = co_await verifyReplica(front, msg, reply);
         if (verified.corrupt) {
             ++failover_.corruptionsDetected;
             ++failover_.readFailovers;
@@ -791,132 +851,53 @@ RequestEngine::fetchReplica(const net::Message &msg, unsigned port)
             // whatever corrupted the replica.
             if (cacheInvalidate(msg.vmId, msg.blockOffset))
                 span(msg.trace, trace::Stage::CacheInvalidate, sim_.now());
-            continue;
-        }
-        stored = std::move(candidate);
-        out.served = true;
-    }
-    if (!out.served)
-        ++failover_.readsUnserved;
-
-    out.stored = std::max<Bytes>(
-        out.served ? stored.payload.size : msg.payload.size, 1);
-    out.plain = std::max<Bytes>(
-        stored.payload.originalSize
-            ? stored.payload.originalSize
-            : (msg.payload.originalSize ? msg.payload.originalSize
-                                        : out.stored),
-        1);
-    out.compressibility = stored.payload.compressibility;
-    co_return out;
-}
-
-sim::Task<RequestEngine::Fetched>
-RequestEngine::fetchStripe(const net::Message &msg, unsigned port)
-{
-    // Probe the pool for any k healthy shards of the stripe, then
-    // reassemble: concat when the k data shards answered, RS decode from
-    // parity otherwise. Each shard probe reuses the read-path
-    // timeout/health machinery.
-    const ec::RsCodec &codec = ecCodec(config_);
-    const unsigned k = codec.k();
-    const auto candidates = readCandidates(config_, msg);
-    SMARTDS_CHECK(candidates.size() >= k,
-                  "EC read needs %u storage nodes, have %zu", k,
-                  candidates.size());
-    const std::size_t ring_start = rng_.below(candidates.size());
-
-    // Shard-size hint for timing-mode storage synthesis: the client's
-    // compressed-size hint (or compressibility estimate) split k ways.
-    const Bytes stripe_hint = std::max<Bytes>(
-        msg.payload.size
-            ? msg.payload.size
-            : static_cast<Bytes>(
-                  static_cast<double>(msg.payload.originalSize) *
-                  msg.payload.compressibility),
-        1);
-    const Bytes shard_hint = ec::RsCodec::shardSize(stripe_hint, k);
-
-    // Collected shards: index + reply (bytes in functional mode).
-    std::vector<unsigned> shard_idx;
-    std::vector<net::Message> shard_msgs;
-    bool degraded = false;
-    const Tick collect_start = sim_.now();
-    for (std::size_t a = 0; a < candidates.size() && shard_idx.size() < k;
-         ++a) {
-        const net::NodeId target =
-            candidates[(ring_start + a) % candidates.size()];
-        net::Message fetch = fetchFrom(msg, target, shard_hint);
-        fetch.payload.ecK = static_cast<std::uint8_t>(k);
-        fetch.payload.ecM = static_cast<std::uint8_t>(codec.m());
-        fetch.payload.ecShard = static_cast<std::uint8_t>(
-            std::min<std::size_t>(shard_idx.size(), codec.n() - 1));
-        fetch.payload.ecStripeBytes = stripe_hint;
-
-        sim::Completion fetched =
-            expectFetch(sim_, msg.tag, config_.failover.ackTimeout);
-        postToStorage(std::move(fetch), port + static_cast<unsigned>(a),
-                      false);
-        if (co_await fetched == 0) {
-            ++failover_.readFailovers;
-            degraded = true;
-            if (health_.noteTimeout(target))
-                ++failover_.nodesSuspected;
-            continue;
-        }
-        health_.noteAck(target);
-
-        net::Message candidate = takeFetchReply(msg.tag);
-        if (candidate.payload.ecK == 0) {
-            // Functional mode: this node holds no shard of the stripe
-            // (the stub reply) — normal when probing the whole pool.
             degraded = true;
             continue;
         }
-        if (candidate.payload.corrupted ||
-            (candidate.payload.data &&
-             xxhash32(*candidate.payload.data) !=
-                 candidate.payload.ecShardChecksum)) {
-            ++failover_.corruptionsDetected;
-            ++failover_.readFailovers;
-            degraded = true;
-            continue;
-        }
-        const unsigned idx = candidate.payload.ecShard;
-        if (std::find(shard_idx.begin(), shard_idx.end(), idx) !=
-            shard_idx.end())
-            continue; // duplicate shard index (repaired copy)
+        const unsigned idx = reply.payload.ecShard;
+        if (ec && (idx >= codec->n() ||
+                   std::find(shard_idx.begin(), shard_idx.end(), idx) !=
+                       shard_idx.end()))
+            continue; // out-of-range or duplicate index (repaired copy)
         shard_idx.push_back(idx);
-        shard_msgs.push_back(std::move(candidate));
+        got.push_back(std::move(reply));
+        out.data = verified.plain;
     }
-    span(msg.trace, trace::Stage::DegradedRead, collect_start,
-         static_cast<std::uint32_t>(shard_idx.size()));
-
-    const bool have = shard_idx.size() >= k;
+    const bool have = got.size() >= k;
     if (!have)
         ++failover_.readsUnserved;
+    const net::Message *stored = have ? &got.front() : nullptr;
+
+    if (!ec) {
+        out.served = have;
+        out.stored = std::max<Bytes>(
+            stored ? stored->payload.size : msg.payload.size, 1);
+        const Bytes original =
+            stored ? stored->payload.originalSize : Bytes{0};
+        out.plain = std::max<Bytes>(
+            original ? original
+                     : (msg.payload.originalSize ? msg.payload.originalSize
+                                                 : out.stored),
+            1);
+        out.compressibility = stored ? stored->payload.compressibility
+                                     : net::Payload{}.compressibility;
+        co_return out;
+    }
+
+    // Reassemble the stripe: concat when the k data shards answered, RS
+    // decode from parity otherwise.
+    span(msg.trace, trace::Stage::DegradedRead, collect_start,
+         static_cast<std::uint32_t>(got.size()));
     const bool systematic =
         have && std::all_of(shard_idx.begin(), shard_idx.end(),
                             [k](unsigned i) { return i < k; });
     if (have && (degraded || !systematic))
         ++failover_.degradedReads;
-
-    const net::Message *stored = have ? &shard_msgs.front() : nullptr;
     const Bytes stripe_bytes = std::max<Bytes>(
         stored ? stored->payload.ecStripeBytes : stripe_hint, 1);
-    if (have && !systematic)
-        co_await chargeEcDecode(
-            msg,
-            ec::RsCodec::shardSize(stripe_bytes, k) * static_cast<Bytes>(k),
-            stripe_bytes);
-
-    Fetched out;
-    out.served = have;
-    if (stored && stored->payload.data) {
-        // Functional reassembly, byte for byte; the recovered stripe is
-        // decompressed and verified against the write-time checksum.
-        const VerifiedBlock recovered =
-            decodeEcStripe(config_, shard_idx, shard_msgs, stripe_bytes);
+    if (have) {
+        const VerifiedBlock recovered = co_await assembleStripe(
+            front, msg, shard_idx, got, stripe_bytes, systematic);
         out.served = !recovered.corrupt;
         out.data = recovered.plain;
         if (recovered.corrupt) {

@@ -4,15 +4,10 @@
  * the paper compares: CPU-only, accelerator-enhanced ("Acc"), SoC-based
  * SmartNIC ("BF2") and SmartDS.
  *
- * Besides the virtual interface, this base carries the failure-awareness
- * every design shares: a timed per-replica acknowledgement table, the
- * replicateWithFailover() retry/re-placement loop, a NodeHealthView fed
- * by timeout observations, and the counters benchmarks and tests use to
- * observe failovers.
- *
- * RequestEngine, below, is the request state machine itself — one write
- * pipeline and one read pipeline — shared by the CPU-only, Acc and BF2
- * designs, which only supply hooks that charge their datapath.
+ * MiddleTierServer is the interface benchmarks drive, plus the placement,
+ * node-health and erasure-coding helpers. RequestEngine is the request
+ * state machine itself — one write pipeline and one read pipeline, with
+ * per-replica failover — which every design runs through datapath hooks.
  */
 
 #ifndef SMARTDS_MIDDLETIER_SERVER_BASE_H_
@@ -23,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -265,69 +261,6 @@ class MiddleTierServer
 
   protected:
     MiddleTierServer() = default;
-    /** Servers that record trace spans name the fabric they serve. */
-    explicit MiddleTierServer(net::Fabric &fabric) : fabric_(&fabric) {}
-
-    /**
-     * Record the span [@p start, now] of @p stage for a sampled request
-     * (no-op when tracing is off or the request is not sampled). A plain
-     * call rather than a scope guard: early-return paths must not record
-     * a stage that never ran.
-     */
-    void
-    span(const trace::TraceContext &tctx, trace::Stage stage, Tick start,
-         std::uint32_t depth = 0) const
-    {
-        if (!tctx || !fabric_)
-            return;
-        if (trace::Tracer *t = fabric_->tracer())
-            t->record(tctx, stage, start, fabric_->simulator().now(), depth);
-    }
-
-    /** One write replica's placement, as handed to the failover loop. */
-    struct Placement
-    {
-        std::vector<net::NodeId> nodes;
-        ChunkRef chunk;
-        bool chunked = false;
-    };
-
-    /**
-     * One replica of one write, driven by replicateWithFailover(). The
-     * send callback must be safe to invoke repeatedly (retries) while the
-     * owning request is in flight; makeRepair — called at most once, at
-     * abandon time, while the request is still in flight — must return a
-     * self-contained deferred send usable after the request retires.
-     */
-    struct ReplicaTask
-    {
-        std::uint64_t tag = 0;
-        Bytes blockBytes = 0;
-        net::NodeId target = 0;
-        // simlint: allow(event-handle-misuse): replica/RS-shard index
-        // within the placement, not a recycled event pool slot
-        unsigned slot = 0;
-        std::shared_ptr<std::vector<net::NodeId>> placement;
-        ChunkRef chunk;
-        bool chunked = false;
-        std::function<void(net::NodeId)> send;
-        std::function<std::function<void()>(net::NodeId)> makeRepair;
-        std::shared_ptr<sim::CountLatch> quorumLatch;
-        std::shared_ptr<sim::CountLatch> allLatch;
-        /**
-         * Whether this task carries one RS shard (slot = shard index)
-         * rather than a whole-block replica. Abandoned shards are handed
-         * to maintenance as k-fan-in reconstructions.
-         */
-        bool ec = false;
-        /**
-         * Block identity for read-cache coherence: abandoning a replica
-         * schedules a repair whose reconstruction will rewrite the block,
-         * so the cached copy is dropped at the same point.
-         */
-        std::uint64_t vmId = 0;
-        std::uint64_t blockOffset = 0;
-    };
 
     void
     noteCompleted(Bytes payload_bytes)
@@ -392,96 +325,6 @@ class MiddleTierServer
                                unsigned count, Rng &rng) const;
 
     /**
-     * Placement for one write: per-chunk sticky placement through the
-     * chunk manager when configured (also recording the write for
-     * compaction bookkeeping), uniform otherwise. Suspected nodes are
-     * excluded from fresh placement either way.
-     */
-    Placement placeWrite(const ServerConfig &config, const net::Message &msg,
-                         Rng &rng);
-
-    /**
-     * Replica candidates for a read of the block @p msg addresses: the
-     * chunk's replica set when a chunk manager is configured (reads must
-     * hit nodes that hold the data), the whole pool otherwise.
-     */
-    std::vector<net::NodeId> readCandidates(const ServerConfig &config,
-                                            const net::Message &msg);
-
-    /**
-     * Register interest in a WriteReplicaAck for (@p tag, @p node). The
-     * returned completion fires with 1 on the ack and 0 on timeout; the
-     * timeout path needs no watcher coroutine, so an ack that never
-     * arrives leaks nothing.
-     */
-    sim::Completion expectAck(sim::Simulator &sim, std::uint64_t tag,
-                              net::NodeId node, Tick timeout);
-
-    /** Route an arriving ack into the table (stale acks are counted). */
-    void deliverAck(std::uint64_t tag, net::NodeId node);
-
-    /**
-     * Register interest in a ReadFetchReply for @p tag. The returned
-     * completion fires with 1 on delivery and 0 on timeout. The timer
-     * handle is held per-entry and cancelled on delivery, so a timer
-     * armed for an earlier probe of the same tag can never fire into a
-     * later probe's wait (the stale-timer bug PR 6 fixed in CpuOnly —
-     * this shared table is what every design's read path now uses).
-     */
-    sim::Completion expectFetch(sim::Simulator &sim, std::uint64_t tag,
-                                Tick timeout);
-
-    /**
-     * Route an arriving fetch reply to its waiter (stale replies — the
-     * wait already timed out and retired — are counted and dropped).
-     */
-    void deliverFetch(net::Message msg);
-
-    /**
-     * Take the reply payload stashed by deliverFetch() for @p tag.
-     * Valid only after the expectFetch() completion fired with 1.
-     */
-    net::Message takeFetchReply(std::uint64_t tag);
-
-    /** Outcome of checksum-verifying (and decompressing) a fetched block. */
-    struct VerifiedBlock
-    {
-        bool corrupt = false;
-        /** Decompressed plaintext (null for timing-only payloads). */
-        std::shared_ptr<const std::vector<std::uint8_t>> plain;
-    };
-
-    /**
-     * End-to-end verify one fetched replica: recompute the payload
-     * checksum against the stored one and, for functional payloads,
-     * LZ4-decompress (codec-cache assisted) into plaintext. Timing-only
-     * payloads verify by the `corrupted` fault-injection bit alone.
-     */
-    VerifiedBlock verifyFetchedBlock(const ServerConfig &config,
-                                     const net::Message &reply);
-
-    /**
-     * Reassemble one EC stripe from k verified shard replies (erasure
-     * decode when @p shard_idx includes parity slots), then verify and
-     * decompress the recovered block like verifyFetchedBlock().
-     */
-    VerifiedBlock decodeEcStripe(const ServerConfig &config,
-                                 const std::vector<unsigned> &shard_idx,
-                                 const std::vector<net::Message> &shard_msgs,
-                                 Bytes stripe_bytes);
-
-    /**
-     * Drive one replica to durability: send, await the ack with an
-     * exponentially backed-off timeout, re-place onto a healthy node on
-     * repeat failure, and after maxRetries hand the replica to the
-     * maintenance repair queue. Arrives at the task's quorum/all latches
-     * exactly once, whether the replica succeeded or was abandoned.
-     */
-    sim::Process replicateWithFailover(sim::Simulator &sim, Rng &rng,
-                                       const ServerConfig &config,
-                                       ReplicaTask task);
-
-    /**
      * A healthy node to move a failing replica to: not @p bad, not
      * already in @p placement, preferring unsuspected nodes — and, when
      * topology is known, nodes in domains the placement does not already
@@ -493,24 +336,6 @@ class MiddleTierServer
                                 net::NodeId bad) const;
 
     /**
-     * Acks this write needs before replying to the VM. Under erasure
-     * coding the quorum never drops below k: fewer than k durable shards
-     * cannot reconstruct the stripe, so an ackQuorum of 2 on RS(4, 2)
-     * still waits for 4.
-     */
-    static unsigned
-    writeQuorum(const ServerConfig &config, std::size_t replicas)
-    {
-        unsigned q = config.failover.ackQuorum;
-        if (q == 0 || q > replicas)
-            return static_cast<unsigned>(replicas);
-        if (config.policy == ReplicationPolicy::ErasureCode &&
-            q < config.ec.dataShards)
-            q = config.ec.dataShards;
-        return q;
-    }
-
-    /**
      * The RS codec for @p config's EC geometry (created on first use;
      * the geometry is fixed per server).
      */
@@ -520,12 +345,20 @@ class MiddleTierServer
      * Split one (compressed) block payload into k + m shard payloads.
      * Functional payloads are RS-encoded byte-for-byte, each shard
      * carrying an xxhash32 checksum of its bytes; timing-only payloads
-     * get the shard geometry and sizes without data. Also opens the
-     * checked-build stripe ledger for @p tag and counts the stripe.
+     * get the shard geometry and sizes without data. Also counts the
+     * stripe (noteStripe()).
      */
     std::vector<net::Payload> encodeShards(const ServerConfig &config,
                                            std::uint64_t tag,
                                            const net::Payload &block);
+
+    /** Count one encoded stripe and open its checked-build ledger. */
+    void
+    noteStripe(std::uint64_t tag, unsigned shards)
+    {
+        ++failover_.stripesEncoded;
+        ecLedgerOpen(tag, shards);
+    }
 
     /**
      * Checked-build stripe accounting: every in-flight stripe tracks
@@ -581,7 +414,294 @@ class MiddleTierServer
     std::unique_ptr<HotBlockCache> readCache_;
 
   private:
-    net::Fabric *fabric_ = nullptr;
+    std::uint64_t requestsCompleted_ = 0;
+    Bytes payloadBytesServed_ = 0;
+    std::unique_ptr<ec::RsCodec> codec_;
+#if SMARTDS_CHECKED_BUILD
+    std::map<std::uint64_t, std::vector<bool>> ecLedger_;
+#endif
+};
+
+/**
+ * The request state machine of all four designs.
+ *
+ * The write pipeline invalidates the cached copy, charges the design's
+ * write datapath (compression unless the write is latency sensitive, RS
+ * encoding under EC), places the block, fans out one
+ * replicateWithFailover() task per replica or shard and acknowledges the
+ * VM at the write quorum. The read pipeline charges the parse, serves
+ * hot-block cache hits, otherwise gathers the first verified replica or
+ * any k checksum-clean shards (failing over and updating node health),
+ * assembles the stripe, charges decompression, fills the cache and
+ * replies. The engine owns placement, the candidate walk, the cache and
+ * every FailoverStats counter.
+ *
+ * A design supplies only the hooks below, which charge its datapath
+ * resources, move its bytes and record its datapath spans. Hooks are
+ * sim::Tasks, so awaiting one adds no simulator event. The transport and
+ * verification hooks default to the host stack (whole messages through a
+ * NIC, checksums in software); SmartDS overrides them with its
+ * split/assemble queue pairs and on-card engines.
+ */
+class RequestEngine : public MiddleTierServer
+{
+  protected:
+    RequestEngine(net::Fabric &fabric, ServerConfig config);
+
+    /**
+     * The front end a request came in through: its port, and whatever it
+     * lends the request (a SmartDS worker adds its buffers and QPs).
+     */
+    struct Front
+    {
+        unsigned port = 0;
+    };
+
+    /** One write between compression and replication. */
+    struct WriteJob
+    {
+        Front &front;
+        const net::Message &msg;
+        /** Whether to compress: latency-sensitive writes skip it. */
+        bool compress = true;
+        /** The block the replicas carry, and under EC its k + m shards. */
+        net::Payload block;
+        std::vector<net::Payload> shards;
+    };
+
+    /**
+     * One replica of one write, driven by replicateWithFailover(). The
+     * send callback must be safe to invoke repeatedly (retries) while the
+     * owning request is in flight; makeRepair — called at most once, at
+     * abandon time, while the request is still in flight — must return a
+     * self-contained deferred send usable after the request retires.
+     */
+    struct ReplicaTask
+    {
+        std::uint64_t tag = 0;
+        Bytes blockBytes = 0;
+        net::NodeId target = 0;
+        // simlint: allow(event-handle-misuse): replica/RS-shard index
+        // within the placement, not a recycled event pool slot
+        unsigned slot = 0;
+        std::shared_ptr<std::vector<net::NodeId>> placement;
+        ChunkRef chunk;
+        bool chunked = false;
+        std::function<void(net::NodeId)> send;
+        std::function<std::function<void()>(net::NodeId)> makeRepair;
+        std::shared_ptr<sim::CountLatch> quorumLatch;
+        std::shared_ptr<sim::CountLatch> allLatch;
+        /**
+         * Whether this task carries one RS shard (slot = shard index)
+         * rather than a whole-block replica. Abandoned shards are handed
+         * to maintenance as k-fan-in reconstructions.
+         */
+        bool ec = false;
+        /**
+         * Block identity for read-cache coherence: abandoning a replica
+         * schedules a repair whose reconstruction will rewrite the block,
+         * so the cached copy is dropped at the same point.
+         */
+        std::uint64_t vmId = 0;
+        std::uint64_t blockOffset = 0;
+    };
+
+    /**
+     * One storage probe: the reply, or none after a timeout or when a
+     * stale reply took its place (a failover with no health strike).
+     */
+    struct Probe
+    {
+        std::optional<net::Message> reply;
+        bool stale = false;
+    };
+
+    /** A checksum-verified (and decompressed) fetched block. */
+    struct VerifiedBlock
+    {
+        bool corrupt = false;
+        /** Decompressed plaintext (null for timing-only payloads). */
+        std::shared_ptr<const std::vector<std::uint8_t>> plain;
+    };
+
+    /** What a VM reply carries (an unserved read's is header-only). */
+    enum class Reply : std::uint8_t { WriteAck, Served, Cached, Unserved };
+
+    /** Route one arriving message; @p port is the front port it used. */
+    void dispatch(net::Message msg, unsigned port = 0);
+
+    /**
+     * The write pipeline. Completes, after the VM reply, with the latch
+     * of all replica tasks (durable or abandoned), which front ends that
+     * reuse per-request buffers await.
+     */
+    sim::Task<sim::Completion> serveWrite(Front &front, net::Message msg);
+    sim::Task<void> serveRead(Front &front, net::Message msg);
+
+    /**
+     * @p job's block as the host compresses it (no simulated cost): codec
+     * cache or LZ4 on functional bytes, the sampled ratio in timing mode.
+     */
+    net::Payload compressBlock(const WriteJob &job) const;
+
+    /**
+     * RS-encode @p job's block into its k + m shards (called by the write
+     * hook where its datapath runs the encoder); returns the shard bytes.
+     */
+    Bytes encodeStripe(WriteJob &job);
+
+    /** Route an arriving replica ack into the table (stale ones counted). */
+    void deliverAck(std::uint64_t tag, net::NodeId node);
+
+    /**
+     * Record the span [@p start, now] of @p stage for a sampled request
+     * (no-op when tracing is off or the request is not sampled). A plain
+     * call rather than a scope guard: early-return paths must not record
+     * a stage that never ran.
+     */
+    void
+    span(const trace::TraceContext &tctx, trace::Stage stage, Tick start,
+         std::uint32_t depth = 0) const
+    {
+        if (!tctx)
+            return;
+        if (trace::Tracer *t = fabric_.tracer())
+            t->record(tctx, stage, start, sim_.now(), depth);
+    }
+
+    // --- datapath hooks ----------------------------------------------
+
+    /** Fill @p job's block (and shards under EC), charging the work. */
+    virtual sim::Task<void> chargeWrite(WriteJob &job) = 0;
+    /** Charge parsing the header of request @p msg (reads start here). */
+    virtual sim::Task<void> chargeParse(const net::Message &msg) = 0;
+    /** Charge serving @p hit from the hot-block cache. */
+    virtual sim::Task<void> chargeCacheHit(const HotBlockCache::Entry &hit) = 0;
+    /** Charge decompressing @p in stored bytes into @p out plain bytes. */
+    virtual sim::Task<void> chargeDecompress(const net::Message &msg,
+                                             Bytes in, Bytes out) = 0;
+    /** Send @p reply to the VM through @p front. */
+    virtual sim::Task<void> replyToVm(Front &front, net::Message reply,
+                                      Reply body) = 0;
+
+    // --- transport and verification hooks (host-stack defaults) ------
+
+    /**
+     * Set @p task's send and repair callbacks. The default sends a
+     * self-contained message via postToStorage(); a repair re-sends it.
+     */
+    virtual void bindReplica(WriteJob &job, ReplicaTask &task);
+    /**
+     * Send @p fetch, probe @p attempt of its read, and await the reply or
+     * the fetch timeout (default: postToStorage() and the fetch table).
+     */
+    virtual sim::Task<Probe> probe(Front &front, net::Message fetch,
+                                   unsigned attempt);
+    /**
+     * End-to-end verify one fetched replica: decompress it and compare
+     * the checksum the VM stamped into the stored header (timing-only
+     * payloads: the `corrupted` fault-injection bit alone).
+     */
+    virtual sim::Task<VerifiedBlock>
+    verifyReplica(Front &front, const net::Message &msg,
+                  const net::Message &reply);
+    /** Whether a fetched RS shard's bytes match its checksum. */
+    virtual sim::Task<bool> shardIntact(Front &front, const net::Message &msg,
+                                        const net::Message &reply);
+    /**
+     * Reassemble a stripe from k shards and verify the block like
+     * verifyReplica(); the default charges chargeEcDecode() only when
+     * parity is needed (@p systematic false).
+     */
+    virtual sim::Task<VerifiedBlock>
+    assembleStripe(Front &front, const net::Message &msg,
+                   const std::vector<unsigned> &shard_idx,
+                   const std::vector<net::Message> &shards, Bytes stripe_bytes,
+                   bool systematic);
+
+    // Used only by the defaults above (SmartDS overrides those instead).
+
+    /** Charge RS-decoding @p in shard bytes into an @p out-byte stripe. */
+    virtual sim::Task<void> chargeEcDecode(const net::Message &msg, Bytes in,
+                                           Bytes out);
+    /**
+     * Send @p m toward storage. @p lane counts the request's sends from
+     * its front port (multi-port designs rotate over ports); @p first
+     * marks the send that reads the block from memory.
+     */
+    virtual void postToStorage(net::Message m, unsigned lane, bool first);
+
+    net::Fabric &fabric_;
+    sim::Simulator &sim_;
+    ServerConfig config_;
+    Rng rng_;
+
+  private:
+    /** One write's storage targets, as handed to the failover loop. */
+    struct Placement
+    {
+        std::vector<net::NodeId> nodes;
+        ChunkRef chunk;
+        bool chunked = false;
+    };
+
+    /** A read's block as gathered (and, under EC, reassembled). */
+    struct Fetched
+    {
+        bool served = false;
+        /** Stored (compressed) bytes the datapath decompresses. */
+        Bytes stored = 0;
+        /** Plain bytes the reply carries. */
+        Bytes plain = 0;
+        double compressibility = 0.0;
+        std::shared_ptr<const std::vector<std::uint8_t>> data;
+    };
+
+    /** One dispatched request, served on its own process. */
+    sim::Process serve(net::Message msg, unsigned port);
+    /** Gather a verified replica, or k clean shards into a stripe. */
+    sim::Task<Fetched> gather(Front &front, const net::Message &msg);
+
+    /**
+     * Placement for one write: per-chunk sticky placement through the
+     * chunk manager when configured (also recording the write for
+     * compaction bookkeeping), domain-spread otherwise. Suspected nodes
+     * are excluded from fresh placement either way.
+     */
+    Placement placeWrite(const net::Message &msg);
+
+    /**
+     * Replica candidates for a read of the block @p msg addresses: the
+     * chunk's replica set when a chunk manager is configured (reads must
+     * hit nodes that hold the data), the whole pool otherwise.
+     */
+    std::vector<net::NodeId> readCandidates(const net::Message &msg);
+
+    /**
+     * Drive one replica to durability: send, await the ack with an
+     * exponentially backed-off timeout, re-place onto a healthy node on
+     * repeat failure, and after maxRetries hand the replica to the
+     * maintenance repair queue. Arrives at the task's quorum/all latches
+     * exactly once, whether the replica succeeded or was abandoned.
+     */
+    sim::Process replicateWithFailover(ReplicaTask task);
+
+    /** Hand an arriving fetch reply to its probe (stale ones counted). */
+    void deliverFetch(net::Message msg);
+
+    /**
+     * A completion that fires with 1 when @p key's reply is delivered and
+     * with 0 after @p timeout (0 = never), from a per-entry timer that
+     * delivery cancels: a timer armed for an earlier wait on the same key
+     * can never fire into a later one, and a reply that never arrives
+     * leaks no watcher coroutine.
+     */
+    template <typename Map>
+    sim::Completion expect(Map &pending, typename Map::key_type key,
+                           Tick timeout, std::uint64_t *timeouts);
+    /** Complete @p key's wait with 1; false (a stale reply) if none. */
+    template <typename Map>
+    bool deliver(Map &pending, typename Map::key_type key);
 
     struct AckKey
     {
@@ -602,132 +722,17 @@ class MiddleTierServer
                 k.tag * 0x9e3779b97f4a7c15ULL ^ k.node);
         }
     };
-    struct AckEntry
-    {
-        sim::Completion completion;
-        sim::EventHandle timer;
-    };
-    /** One awaited fetch reply; the timer is cancelled on delivery. */
-    struct FetchEntry
+    /** One awaited reply; the timer is cancelled on delivery. */
+    struct Pending
     {
         sim::Completion completion;
         sim::EventHandle timer;
     };
 
-    std::uint64_t requestsCompleted_ = 0;
-    Bytes payloadBytesServed_ = 0;
-    std::unordered_map<AckKey, AckEntry, AckKeyHash> pendingAcks_;
-    std::unordered_map<std::uint64_t, FetchEntry> pendingFetches_;
+    std::unordered_map<AckKey, Pending, AckKeyHash> pendingAcks_;
+    std::unordered_map<std::uint64_t, Pending> pendingFetches_;
+    /** Fetch replies delivered and not yet taken by their probe. */
     std::unordered_map<std::uint64_t, net::Message> fetchReplies_;
-    std::unique_ptr<ec::RsCodec> codec_;
-#if SMARTDS_CHECKED_BUILD
-    std::map<std::uint64_t, std::vector<bool>> ecLedger_;
-#endif
-};
-
-/**
- * The request state machine of the CPU-only, Acc and BF2 designs.
- *
- * The write pipeline invalidates the cached copy, compresses functional
- * bytes (codec cache or LZ4), charges the design's write datapath (which
- * RS-encodes under EC via encodeStripe()), places the block, fans out one
- * replicateWithFailover() task per replica or shard, waits for the write
- * quorum and acknowledges the VM. The read pipeline charges the parse,
- * serves hot-block cache hits, otherwise gathers the first verified
- * replica or any k checksum-clean shards (failing over and updating node
- * health), decodes the stripe, charges decompression, fills the cache
- * and replies.
- *
- * A design supplies only the hooks below, which charge its datapath
- * resources and record its datapath spans. Hooks are sim::Tasks, so
- * awaiting one adds no simulator event: the event stream is exactly the
- * one the design's hand-written pipeline used to produce.
- */
-class RequestEngine : public MiddleTierServer
-{
-  protected:
-    RequestEngine(net::Fabric &fabric, ServerConfig config);
-
-    /** One write between compression and replication. */
-    struct WriteJob
-    {
-        const net::Message &msg;
-        /** The compressed block (real bytes on the functional path). */
-        net::Payload block;
-        /** The block's k + m RS shards (EC policy, after encodeStripe). */
-        std::vector<net::Payload> shards;
-    };
-
-    /** Route one arriving message; @p port is the front port it used. */
-    void dispatch(net::Message msg, unsigned port = 0);
-
-    /**
-     * RS-encode @p job's block into its k + m shards (called by the write
-     * hook at the point its datapath runs the encoder); returns the total
-     * shard bytes the encoder writes out.
-     */
-    Bytes encodeStripe(WriteJob &job);
-
-    // --- datapath hooks ----------------------------------------------
-
-    /** Charge compressing @p job's payload and, under EC, encoding it. */
-    virtual sim::Task<void> chargeWrite(WriteJob &job) = 0;
-
-    /** Charge parsing the header of request @p msg (reads start here). */
-    virtual sim::Task<void> chargeParse(const net::Message &msg) = 0;
-
-    /** Charge serving @p hit from the hot-block cache. */
-    virtual sim::Task<void> chargeCacheHit(const HotBlockCache::Entry &hit) = 0;
-
-    /** Charge RS-decoding @p in shard bytes into an @p out-byte stripe. */
-    virtual sim::Task<void> chargeEcDecode(const net::Message &msg, Bytes in,
-                                           Bytes out) = 0;
-
-    /** Charge decompressing @p in stored bytes into @p out plain bytes. */
-    virtual sim::Task<void> chargeDecompress(const net::Message &msg,
-                                             Bytes in, Bytes out) = 0;
-
-    /**
-     * Send @p m (a replica or a fetch) toward storage. @p lane counts the
-     * request's storage sends from its front port (multi-port designs
-     * rotate over their ports); @p first marks the first send of the
-     * block's first replica, the one that reads the block from memory.
-     */
-    virtual void postToStorage(net::Message m, unsigned lane, bool first) = 0;
-
-    /**
-     * Send @p reply to the VM through front port @p port. @p cached: the
-     * payload comes from the hot-block cache and chargeCacheHit() already
-     * paid for reading it.
-     */
-    virtual sim::Task<void> replyToVm(net::Message reply, unsigned port,
-                                      bool cached) = 0;
-
-    sim::Simulator &sim_;
-    ServerConfig config_;
-    Rng rng_;
-
-  private:
-    /** A read's block as gathered (and, under EC, reassembled). */
-    struct Fetched
-    {
-        bool served = false;
-        /** Stored (compressed) bytes the datapath decompresses. */
-        Bytes stored = 0;
-        /** Plain bytes the reply carries. */
-        Bytes plain = 0;
-        double compressibility = 0.0;
-        std::shared_ptr<const std::vector<std::uint8_t>> data;
-    };
-
-    sim::Process serveWrite(net::Message msg, unsigned port);
-    sim::Process serveRead(net::Message msg, unsigned port);
-    /** Gather the first replica that verifies end to end. */
-    sim::Task<Fetched> fetchReplica(const net::Message &msg, unsigned port);
-    /** Gather any k checksum-clean shards and reassemble the stripe. */
-    sim::Task<Fetched> fetchStripe(const net::Message &msg, unsigned port);
-    /** The compressed block for write @p msg (no simulated cost). */
-    net::Payload compressBlock(const net::Message &msg) const;
 };
 
 } // namespace smartds::middletier

@@ -8,9 +8,9 @@
 
 #include "common/checksum.h"
 #include "common/check.h"
-#include "common/logging.h"
 #include "lz4/lz4.h"
 #include "middletier/protocol.h"
+#include "sim/awaitables.h"
 
 namespace smartds::middletier {
 
@@ -35,11 +35,8 @@ landedHeader(const device::Buffer &h)
 
 SmartDsServer::SmartDsServer(net::Fabric &fabric, mem::MemorySystem &memory,
                              ServerConfig config, SmartDsConfig smartds)
-    : MiddleTierServer(fabric), sim_(fabric.simulator()),
-      config_(std::move(config)),
-      smartds_(smartds),
-      cores_(sim_, "smartds.cores", config_.cores),
-      rng_(config_.seed)
+    : RequestEngine(fabric, std::move(config)), smartds_(smartds),
+      cores_(sim_, "smartds.cores", config_.cores)
 {
     smartds_.device.ports = smartds_.ports;
     smartds_.device.effort = config_.effort;
@@ -48,7 +45,6 @@ SmartDsServer::SmartDsServer(net::Fabric &fabric, mem::MemorySystem &memory,
         smartds_.device.ecEngine = true;
     device_ = std::make_unique<SmartDsDevice>(fabric, "smartds", &memory,
                                               smartds_.device);
-    initFailover(config_);
     if (readCache_ &&
         config_.readCache.placement == ReadCachePlacement::DeviceHbm) {
         // The cache's capacity comes out of the HBM budget (reserve is
@@ -99,6 +95,17 @@ SmartDsServer::addUsageProbes(UsageProbes &probes)
     });
 }
 
+void
+SmartDsServer::forwardAck(SmartDsDevice::Event ack)
+{
+    // A plain callback, so a node that never answers leaks nothing; a
+    // flushed receive completes at kind Raw and is ignored.
+    ack.completion.onComplete([this, msg = ack.message](std::uint64_t) {
+        if (msg && msg->kind == net::MessageKind::WriteReplicaAck)
+            deliverAck(msg->tag, msg->src);
+    });
+}
+
 sim::Process
 SmartDsServer::repairReplica(unsigned port, net::NodeId dst,
                              device::BufferRef h, device::BufferRef d,
@@ -106,15 +113,9 @@ SmartDsServer::repairReplica(unsigned port, net::NodeId dst,
 {
     SmartDsDevice::Qp qp = device_->createQp(port);
     device_->connect(qp, dst, 0);
-    // Drain the node's ack into the shared table (it will usually count
-    // as stale — the serving path already gave this replica up); a plain
-    // callback, so a node that never answers leaks nothing.
-    auto ack = device_->mixedRecv(qp, h, StorageHeader::wireSize, nullptr, 0);
-    auto ack_msg = ack.message;
-    ack.completion.onComplete([this, ack_msg](std::uint64_t) {
-        if (ack_msg && ack_msg->kind == net::MessageKind::WriteReplicaAck)
-            deliverAck(ack_msg->tag, ack_msg->src);
-    });
+    // The node's ack usually counts as stale: the serving path already
+    // gave this replica up.
+    forwardAck(device_->mixedRecv(qp, h, StorageHeader::wireSize, nullptr, 0));
     auto sent = device_->mixedSend(qp, h, StorageHeader::wireSize, d, size,
                                    net::MessageKind::WriteReplica, tag,
                                    issue);
@@ -126,564 +127,315 @@ SmartDsServer::worker(unsigned port)
 {
     // --- Listing-1 setup: allocate buffers, connect queue pairs ---------
     const Bytes max_block = smartds_.maxBlockBytes;
-    auto h_recv = device_->hostAlloc(StorageHeader::wireSize);
-    auto h_send = device_->hostAlloc(StorageHeader::wireSize);
-    auto h_fetch = device_->hostAlloc(StorageHeader::wireSize);
-    auto d_recv = device_->devAlloc(max_block);
-    auto d_send = device_->devAlloc(lz4::maxCompressedSize(max_block));
-
-    // One storage-facing queue pair (and ack header buffer) per replica
-    // slot, so a retry re-targeting one replica can reset its own QP
-    // without tearing down a sibling's in-flight send or pending ack
-    // receive; plus a fetch QP for reads and a reply QP toward the VM.
-    std::vector<SmartDsDevice::Qp> replica_qps;
-    std::vector<device::BufferRef> h_acks;
+    Worker w;
+    w.port = port;
+    w.hRecv = device_->hostAlloc(StorageHeader::wireSize);
+    w.hSend = device_->hostAlloc(StorageHeader::wireSize);
+    w.hFetch = device_->hostAlloc(StorageHeader::wireSize);
+    w.dRecv = device_->devAlloc(max_block);
+    w.dSend = device_->devAlloc(lz4::maxCompressedSize(max_block));
     const unsigned fanout = config_.writeFanout();
     for (unsigned r = 0; r < fanout; ++r) {
-        replica_qps.push_back(device_->createQp(port));
-        h_acks.push_back(device_->hostAlloc(StorageHeader::wireSize));
+        w.replicaQps.push_back(device_->createQp(port));
+        w.hAcks.push_back(device_->hostAlloc(StorageHeader::wireSize));
     }
-    // Erasure coding: one HBM buffer per shard slot (writes RS-encode
-    // into them; reads gather fetched shards into them), plus a zero-byte
-    // hint buffer that rides on header-only shard fetches so timing-mode
-    // storage synthesises shard-sized replies.
-    std::vector<device::BufferRef> d_shards;
-    device::BufferRef d_hint;
     if (config_.policy == ReplicationPolicy::ErasureCode) {
         const Bytes shard_cap = ec::RsCodec::shardSize(
             lz4::maxCompressedSize(max_block), config_.ec.dataShards);
         for (unsigned s = 0; s < fanout; ++s)
-            d_shards.push_back(device_->devAlloc(shard_cap));
-        d_hint = device_->devAlloc(1);
+            w.dShards.push_back(device_->devAlloc(shard_cap));
+        w.dHint = device_->devAlloc(1);
     }
-    SmartDsDevice::Qp fetch_qp = device_->createQp(port);
-    SmartDsDevice::Qp reply_qp = device_->createQp(port);
+    w.fetchQp = device_->createQp(port);
+    w.replyQp = device_->createQp(port);
 
     const SmartDsDevice::Qp &request_qp = requestQps_[port];
-
     while (true) {
         // --- Receive: header to host memory, payload stays in HBM ------
-        auto recv = device_->mixedRecv(request_qp, h_recv,
-                                       StorageHeader::wireSize, d_recv,
+        auto recv = device_->mixedRecv(request_qp, w.hRecv,
+                                       StorageHeader::wireSize, w.dRecv,
                                        max_block);
         co_await recv.completion;
-        const Bytes payload_size = recv.size();
         SMARTDS_CHECK(recv.message, "recv completed without a message");
-        const net::Message &req = *recv.message;
-        const trace::TraceContext tctx = req.trace;
-
-        // --- Host CPU: flexibly parse the header, prepare the send -----
-        const std::uint32_t parse_depth =
-            static_cast<std::uint32_t>(cores_.queueDepth());
-        const Tick parse_start = sim_.now();
-        co_await cores_.executeAsync(calibration::smartdsHostRequestCost);
-        span(tctx, trace::Stage::HostParse, parse_start, parse_depth);
-        bool latency_sensitive = req.latencySensitive;
-        std::uint64_t tag = req.tag;
-        if (device_->config().functional && h_recv->bytes()) {
-            // A header too short to decode fails closed to the message's
-            // own metadata, with no block checksum to vouch for the data.
-            StorageHeader out;
-            out.vmId = req.vmId;
-            out.blockOffset = req.blockOffset;
-            out.tag = tag;
-            out.latencySensitive = latency_sensitive ? 1 : 0;
-            if (const auto hdr = landedHeader(*h_recv)) {
-                latency_sensitive = hdr->latencySensitive != 0;
-                tag = hdr->tag;
-                out = *hdr;
-            }
+        net::Message req = *recv.message;
+        req.payload.size = recv.size();
+        if (device_->config().functional && w.hRecv->bytes()) {
+            // The host takes tag and latency class from the landed header.
+            // One too short to decode fails closed to the message's own
+            // metadata, with no block checksum to vouch for the data.
+            StorageHeader hdr;
+            hdr.vmId = req.vmId;
+            hdr.blockOffset = req.blockOffset;
+            hdr.tag = req.tag;
+            hdr.latencySensitive = req.latencySensitive ? 1 : 0;
+            hdr = landedHeader(*w.hRecv).value_or(hdr);
+            req.tag = hdr.tag;
+            req.latencySensitive = hdr.latencySensitive != 0;
             // host_fill_send_h_buf: the reply/replica header.
-            out.payloadSize = static_cast<std::uint32_t>(payload_size);
-            out.encodeInto(h_send->bytes()->data());
-        }
-
-        if (req.kind == net::MessageKind::ReadRequest &&
-            config_.policy == ReplicationPolicy::ErasureCode) {
-            // --- EC read: gather any k shards, decode on-card, reply ----
-            // Each shard probe reuses the fetch QP timeout/reset idiom of
-            // the replicated read path below; the RS engine reassembles
-            // the stripe in HBM and the LZ4 engine decompresses it.
-            // Hot-block cache in HBM: a hit serves the verified plaintext
-            // with one device-DRAM read — no shard gather, no RS decode,
-            // no decompression.
-            if (readCache_) {
-                if (const HotBlockCache::Entry *hit =
-                        readCache_->lookup(req.vmId, req.blockOffset)) {
-                    // Snapshot the entry: the lookup pointer dies if
-                    // another worker touches the cache while we are
-                    // suspended below.
-                    const HotBlockCache::Entry cached = *hit;
-                    const Tick hit_start = sim_.now();
-                    if (cacheFlow_) {
-                        sim::Completion cache_read(sim_);
-                        cacheFlow_->transfer(cached.plainSize,
-                                             [cache_read]() mutable {
-                                                 cache_read.complete(0);
-                                             });
-                        co_await cache_read;
-                    } else {
-                        co_await cores_.executeAsync(
-                            calibration::smartdsHostRequestCost);
-                    }
-                    if (d_recv->bytes() && cached.plain)
-                        std::copy(cached.plain->begin(), cached.plain->end(),
-                                  d_recv->bytes()->begin());
-                    d_recv->content = device::BufferContent{};
-                    d_recv->content.size = cached.plainSize;
-                    d_recv->content.compressibility = cached.compressibility;
-                    span(tctx, trace::Stage::CacheHit, hit_start);
-                    device_->connect(reply_qp, req.src, req.srcQp);
-                    auto reply = device_->mixedSend(
-                        reply_qp, h_send, StorageHeader::wireSize, d_recv,
-                        cached.plainSize, net::MessageKind::ReadReply, tag,
-                        req.issueTick, tctx);
-                    co_await reply.completion;
-                    continue;
-                }
-                span(tctx, trace::Stage::CacheMiss, sim_.now());
-            }
-            const ec::RsCodec &codec = ecCodec(config_);
-            const unsigned k = codec.k();
-            const unsigned n = codec.n();
-            const auto candidates = readCandidates(config_, req);
-            SMARTDS_CHECK(candidates.size() >= k,
-                           "EC read needs %u storage nodes, have %zu", k,
-                           candidates.size());
-            const std::size_t ring_start = rng_.below(candidates.size());
-            const Bytes stripe_hint =
-                req.payload.size
-                    ? req.payload.size
-                    : static_cast<Bytes>(
-                          static_cast<double>(req.payload.originalSize) *
-                          req.payload.compressibility);
-            Tick timeout = config_.failover.ackTimeout;
-            bool degraded = false;
-            std::vector<std::pair<unsigned, device::BufferRef>> got;
-            std::vector<bool> have_idx(n, false);
-            Bytes shard_sz = 0;
-            Bytes stripe_bytes = 0;
-            const Tick collect_start = sim_.now();
-            for (std::size_t a = 0;
-                 a < candidates.size() && got.size() < k; ++a) {
-                const net::NodeId target =
-                    candidates[(ring_start + a) % candidates.size()];
-                device_->resetQp(fetch_qp);
-                device_->connect(fetch_qp, target, 0);
-                device::BufferRef dest = d_shards[got.size()];
-                auto fetch_reply = device_->mixedRecv(
-                    fetch_qp, h_fetch, StorageHeader::wireSize, dest,
-                    dest->capacity());
-                d_hint->content = device::BufferContent{};
-                d_hint->content.compressibility = 0.0;
-                d_hint->content.originalSize = req.payload.originalSize;
-                d_hint->content.ecK = static_cast<std::uint8_t>(k);
-                d_hint->content.ecM = static_cast<std::uint8_t>(codec.m());
-                d_hint->content.ecShard = static_cast<std::uint8_t>(
-                    std::min<std::size_t>(got.size(), n - 1));
-                d_hint->content.ecStripeBytes = stripe_hint;
-                auto fetch = device_->mixedSend(
-                    fetch_qp, h_send, StorageHeader::wireSize, d_hint, 0,
-                    net::MessageKind::ReadFetch, tag, req.issueTick, tctx);
-                co_await fetch.completion;
-                sim::EventHandle timer;
-                if (timeout > 0)
-                    timer = sim_.schedule(
-                        timeout,
-                        [this, &fetch_qp]() {
-                            device_->resetQp(fetch_qp);
-                        },
-                        sim::EventTag::Nic);
-                co_await fetch_reply.completion;
-                timer.cancel();
-                const net::Message *rep = fetch_reply.message.get();
-                if (!rep ||
-                    rep->kind != net::MessageKind::ReadFetchReply ||
-                    rep->tag != tag) {
-                    if (rep &&
-                        rep->kind == net::MessageKind::ReadFetchReply)
-                        ++failover_.staleAcks;
-                    else if (health_.noteTimeout(target))
-                        ++failover_.nodesSuspected;
-                    ++failover_.readFailovers;
-                    degraded = true;
-                    timeout = std::min(timeout * 2,
-                                       config_.failover.ackTimeoutCap);
-                    continue;
-                }
-                health_.noteAck(target);
-                if (rep->payload.ecK == 0) {
-                    // Functional stub: this node holds no shard.
-                    degraded = true;
-                    continue;
-                }
-                // Scrub the shard with the checksum engine before use.
-                auto scrub = device_->devFunc(
-                    dest, fetch_reply.size(), d_recv, d_recv->capacity(),
-                    port, device::EngineOp::Checksum, tctx);
-                co_await scrub.completion;
-                bool shard_corrupt = rep->payload.corrupted;
-                if (dest->bytes())
-                    shard_corrupt =
-                        shard_corrupt || scrub.completion.value() !=
-                                             rep->payload.ecShardChecksum;
-                if (shard_corrupt) {
-                    ++failover_.corruptionsDetected;
-                    ++failover_.readFailovers;
-                    if (cacheInvalidate(req.vmId, req.blockOffset))
-                        span(tctx, trace::Stage::CacheInvalidate, sim_.now());
-                    degraded = true;
-                    continue;
-                }
-                const unsigned idx = rep->payload.ecShard;
-                if (idx >= n || have_idx[idx])
-                    continue; // duplicate shard (repaired copy)
-                have_idx[idx] = true;
-                shard_sz = fetch_reply.size();
-                if (rep->payload.ecStripeBytes)
-                    stripe_bytes = rep->payload.ecStripeBytes;
-                got.emplace_back(idx, dest);
-            }
-            span(tctx, trace::Stage::DegradedRead, collect_start,
-                 static_cast<std::uint32_t>(got.size()));
-
-            const bool have = got.size() >= k;
-            bool systematic = have;
-            for (std::size_t i = 0; i < got.size(); ++i)
-                systematic = systematic && got[i].first < k;
-            if (have && !systematic)
-                degraded = true;
-            if (degraded && have)
-                ++failover_.degradedReads;
-
-            bool served = false;
-            Bytes plain_size = 0;
-            if (have) {
-                if (stripe_bytes == 0)
-                    stripe_bytes = shard_sz * static_cast<Bytes>(k);
-                auto decoded = device_->ecDecode(got, stripe_bytes, d_send,
-                                                 port, k, codec.m(), tctx);
-                co_await decoded.completion;
-                auto plain = device_->devFunc(
-                    d_send, stripe_bytes, d_recv, d_recv->capacity(), port,
-                    device::EngineOp::Decompress, tctx);
-                co_await plain.completion;
-                bool corrupt = d_recv->content.corrupted;
-                if (!corrupt && device_->config().functional &&
-                    d_recv->bytes() && h_fetch->bytes()) {
-                    // A header too short to decode fails closed.
-                    const auto stored = landedHeader(*h_fetch);
-                    corrupt =
-                        !stored ||
-                        (stored->blockChecksum != 0 &&
-                         xxhash32(d_recv->bytes()->data(), plain.size()) !=
-                             stored->blockChecksum);
-                }
-                if (corrupt) {
-                    ++failover_.corruptionsDetected;
-                    ++failover_.readsUnserved;
-                    if (cacheInvalidate(req.vmId, req.blockOffset))
-                        span(tctx, trace::Stage::CacheInvalidate, sim_.now());
-                } else {
-                    plain_size = plain.size();
-                    served = true;
-                }
-            } else {
-                ++failover_.readsUnserved;
-            }
-            if (served && readCache_) {
-                std::shared_ptr<const std::vector<std::uint8_t>> plain_bytes;
-                if (d_recv->bytes())
-                    plain_bytes =
-                        std::make_shared<const std::vector<std::uint8_t>>(
-                            d_recv->bytes()->begin(),
-                            d_recv->bytes()->begin() +
-                                static_cast<std::ptrdiff_t>(plain_size));
-                readCache_->insert(req.vmId, req.blockOffset,
-                                   {plain_size,
-                                    d_recv->content.compressibility,
-                                    std::move(plain_bytes)});
-            }
-
-            device_->connect(reply_qp, req.src, req.srcQp);
-            auto reply = device_->mixedSend(
-                reply_qp, h_send, StorageHeader::wireSize,
-                served ? d_recv : nullptr, plain_size,
-                net::MessageKind::ReadReply, tag, req.issueTick, tctx);
-            co_await reply.completion;
-            continue;
+            hdr.payloadSize = static_cast<std::uint32_t>(req.payload.size);
+            hdr.encodeInto(w.hSend->bytes()->data());
         }
 
         if (req.kind == net::MessageKind::ReadRequest) {
-            // --- Read path (Fig. 3b): fetch, decompress on-card, reply -
-            // A fetch that times out resets the QP (flushing the posted
-            // receive) and fails over to another replica; a fetched block
-            // whose engine decode or checksum fails does the same.
-            // Hot-block cache in HBM: a hit serves the verified plaintext
-            // with one device-DRAM read, skipping the fetch round trip
-            // and the decompression engine.
-            if (readCache_) {
-                if (const HotBlockCache::Entry *hit =
-                        readCache_->lookup(req.vmId, req.blockOffset)) {
-                    // Snapshot the entry: the lookup pointer dies if
-                    // another worker touches the cache while we are
-                    // suspended below.
-                    const HotBlockCache::Entry cached = *hit;
-                    const Tick hit_start = sim_.now();
-                    if (cacheFlow_) {
-                        sim::Completion cache_read(sim_);
-                        cacheFlow_->transfer(cached.plainSize,
-                                             [cache_read]() mutable {
-                                                 cache_read.complete(0);
-                                             });
-                        co_await cache_read;
-                    } else {
-                        co_await cores_.executeAsync(
-                            calibration::smartdsHostRequestCost);
-                    }
-                    if (d_recv->bytes() && cached.plain)
-                        std::copy(cached.plain->begin(), cached.plain->end(),
-                                  d_recv->bytes()->begin());
-                    d_recv->content = device::BufferContent{};
-                    d_recv->content.size = cached.plainSize;
-                    d_recv->content.compressibility = cached.compressibility;
-                    span(tctx, trace::Stage::CacheHit, hit_start);
-                    device_->connect(reply_qp, req.src, req.srcQp);
-                    auto reply = device_->mixedSend(
-                        reply_qp, h_send, StorageHeader::wireSize, d_recv,
-                        cached.plainSize, net::MessageKind::ReadReply, tag,
-                        req.issueTick, tctx);
-                    co_await reply.completion;
-                    continue;
-                }
-                span(tctx, trace::Stage::CacheMiss, sim_.now());
-            }
-            const auto candidates = readCandidates(config_, req);
-            const std::size_t start =
-                candidates.empty() ? 0 : rng_.below(candidates.size());
-            Tick timeout = config_.failover.ackTimeout;
-            bool served = false;
-            Bytes plain_size = 0;
-            for (std::size_t i = 0; i < candidates.size() && !served; ++i) {
-                const net::NodeId target =
-                    candidates[(start + i) % candidates.size()];
-                device_->resetQp(fetch_qp);
-                device_->connect(fetch_qp, target, 0);
-                auto fetch_reply = device_->mixedRecv(
-                    fetch_qp, h_fetch, StorageHeader::wireSize, d_send,
-                    d_send->capacity());
-                auto fetch = device_->mixedSend(
-                    fetch_qp, h_send, StorageHeader::wireSize, nullptr, 0,
-                    net::MessageKind::ReadFetch, tag, req.issueTick, tctx);
-                co_await fetch.completion;
-                sim::EventHandle timer;
-                if (timeout > 0)
-                    timer = sim_.schedule(
-                        timeout,
-                        [this, &fetch_qp]() {
-                            device_->resetQp(fetch_qp);
-                        },
-                        sim::EventTag::Nic);
-                co_await fetch_reply.completion;
-                timer.cancel();
-                const net::Message *rep = fetch_reply.message.get();
-                if (!rep ||
-                    rep->kind != net::MessageKind::ReadFetchReply ||
-                    rep->tag != tag) {
-                    // Timed out (flush) or a stale reply from a previous
-                    // attempt: strike the node, try the next replica.
-                    if (rep && rep->kind == net::MessageKind::ReadFetchReply)
-                        ++failover_.staleAcks;
-                    else if (health_.noteTimeout(target))
-                        ++failover_.nodesSuspected;
-                    ++failover_.readFailovers;
-                    timeout = std::min(timeout * 2,
-                                       config_.failover.ackTimeoutCap);
-                    continue;
-                }
-                health_.noteAck(target);
-                const Bytes stored_size = fetch_reply.size();
-
-                auto plain = device_->devFunc(d_send, stored_size, d_recv,
-                                              d_recv->capacity(), port,
-                                              device::EngineOp::Decompress,
-                                              tctx);
-                co_await plain.completion;
-
-                bool corrupt = d_recv->content.corrupted;
-                if (!corrupt && device_->config().functional &&
-                    d_recv->bytes() && h_fetch->bytes()) {
-                    // A header too short to decode fails closed.
-                    const auto stored = landedHeader(*h_fetch);
-                    corrupt = !stored ||
-                              xxhash32(d_recv->bytes()->data(),
-                                       plain.size()) != stored->blockChecksum;
-                }
-                if (corrupt) {
-                    ++failover_.corruptionsDetected;
-                    ++failover_.readFailovers;
-                    if (cacheInvalidate(req.vmId, req.blockOffset))
-                        span(tctx, trace::Stage::CacheInvalidate, sim_.now());
-                    continue;
-                }
-                plain_size = plain.size();
-                served = true;
-            }
-            if (!served)
-                ++failover_.readsUnserved;
-            if (served && readCache_) {
-                std::shared_ptr<const std::vector<std::uint8_t>> plain_bytes;
-                if (d_recv->bytes())
-                    plain_bytes =
-                        std::make_shared<const std::vector<std::uint8_t>>(
-                            d_recv->bytes()->begin(),
-                            d_recv->bytes()->begin() +
-                                static_cast<std::ptrdiff_t>(plain_size));
-                readCache_->insert(req.vmId, req.blockOffset,
-                                   {plain_size,
-                                    d_recv->content.compressibility,
-                                    std::move(plain_bytes)});
-            }
-
-            device_->connect(reply_qp, req.src, req.srcQp);
-            auto reply = device_->mixedSend(
-                reply_qp, h_send, StorageHeader::wireSize,
-                served ? d_recv : nullptr, plain_size,
-                net::MessageKind::ReadReply, tag, req.issueTick, tctx);
-            co_await reply.completion;
-            continue;
+            co_await serveRead(w, std::move(req));
+        } else {
+            // The replica QPs and buffers are reused by the next request:
+            // hold them until every straggler (late ack, retry or
+            // abandonment) has arrived.
+            sim::Completion all_replicas =
+                co_await serveWrite(w, std::move(req));
+            co_await all_replicas;
         }
-
-        // --- Write path (Listing 1) -------------------------------------
-        // Write-through coherence: drop the cached copy before serving
-        // the write, so no concurrent read can hit stale bytes.
-        if (cacheInvalidate(req.vmId, req.blockOffset))
-            span(tctx, trace::Stage::CacheInvalidate, sim_.now());
-        device::BufferRef send_buf = d_recv;
-        Bytes send_size = payload_size;
-        if (!latency_sensitive) {
-            auto compressed = device_->devFunc(d_recv, payload_size, d_send,
-                                               d_send->capacity(), port,
-                                               device::EngineOp::Compress,
-                                               tctx);
-            co_await compressed.completion;
-            send_buf = d_send;
-            send_size = compressed.size();
-        }
-
-        // Erasure coding: RS-encode the (compressed) stripe on-card into
-        // the k + m shard buffers; each replica slot then sends one shard
-        // instead of the whole block.
-        const bool ec = config_.policy == ReplicationPolicy::ErasureCode;
-        Bytes shard_size = 0;
-        if (ec) {
-            auto encoded = device_->ecEncode(send_buf, send_size, d_shards,
-                                             port, config_.ec.dataShards,
-                                             config_.ec.parityShards, tctx);
-            co_await encoded.completion;
-            shard_size = encoded.size();
-            ++failover_.stripesEncoded;
-            ecLedgerOpen(tag, d_shards.size());
-        }
-
-        Placement placement = placeWrite(config_, req, rng_);
-        auto nodes = std::make_shared<std::vector<net::NodeId>>(
-            std::move(placement.nodes));
-        SMARTDS_CHECK(nodes->size() <= replica_qps.size(),
-                       "placement wider than the worker's replica QPs");
-        const unsigned quorum = writeQuorum(config_, nodes->size());
-        auto quorum_acks = std::make_shared<sim::CountLatch>(sim_, quorum);
-        auto all_acks = std::make_shared<sim::CountLatch>(
-            sim_, static_cast<unsigned>(nodes->size()));
-        const Tick replicate_start = sim_.now();
-
-        for (unsigned r = 0; r < nodes->size(); ++r) {
-            const device::BufferRef out_buf = ec ? d_shards[r] : send_buf;
-            const Bytes out_size = ec ? shard_size : send_size;
-            ReplicaTask task;
-            task.tag = tag;
-            task.vmId = req.vmId;
-            task.blockOffset = req.blockOffset;
-            task.blockBytes = out_size;
-            task.target = (*nodes)[r];
-            task.slot = r;
-            task.ec = ec;
-            task.placement = nodes;
-            task.chunk = placement.chunk;
-            task.chunked = placement.chunked;
-            task.quorumLatch = quorum_acks;
-            task.allLatch = all_acks;
-            SmartDsDevice::Qp *qp = &replica_qps[r];
-            device::BufferRef h_ack = h_acks[r];
-            task.send = [this, qp, h_ack, h_send, out_buf, out_size, tag,
-                         tctx, issue = req.issueTick](net::NodeId dst) {
-                // Re-targeting tears down the previous attempt first (QP
-                // reset), so a late ack from the old peer cannot match
-                // the fresh descriptor; the flush completes it with 0 at
-                // kind Raw, which the forwarder below ignores.
-                device_->resetQp(*qp);
-                device_->connect(*qp, dst, 0);
-                auto ack = device_->mixedRecv(*qp, h_ack,
-                                              StorageHeader::wireSize,
-                                              nullptr, 0);
-                auto ack_msg = ack.message;
-                ack.completion.onComplete([this, ack_msg](std::uint64_t) {
-                    if (ack_msg &&
-                        ack_msg->kind == net::MessageKind::WriteReplicaAck)
-                        deliverAck(ack_msg->tag, ack_msg->src);
-                });
-                device_->mixedSend(*qp, h_send, StorageHeader::wireSize,
-                                   out_buf, out_size,
-                                   net::MessageKind::WriteReplica, tag,
-                                   issue, tctx);
-            };
-            task.makeRepair = [this, port, h_send, out_buf, out_size, tag,
-                               issue = req.issueTick](net::NodeId dst) {
-                // Snapshot header and payload now — the worker reuses its
-                // buffers for the next request once the all-replicas
-                // latch releases, but the repair runs much later.
-                auto h_copy = device_->hostAlloc(StorageHeader::wireSize);
-                auto d_copy =
-                    device_->devAlloc(out_size ? out_size : 1);
-                if (h_copy->bytes() && h_send->bytes())
-                    *h_copy->bytes() = *h_send->bytes();
-                h_copy->content = h_send->content;
-                if (d_copy->bytes() && out_buf->bytes())
-                    std::copy(out_buf->bytes()->begin(),
-                              out_buf->bytes()->begin() +
-                                  static_cast<std::ptrdiff_t>(out_size),
-                              d_copy->bytes()->begin());
-                d_copy->content = out_buf->content;
-                return [this, port, h_copy, d_copy, out_size, tag, issue,
-                        dst]() {
-                    sim::spawn(sim_,
-                               repairReplica(port, dst, h_copy, d_copy,
-                                             out_size, tag, issue));
-                };
-            };
-            sim::spawn(sim_, replicateWithFailover(sim_, rng_, config_,
-                                                   std::move(task)));
-        }
-        co_await quorum_acks->wait();
-        span(tctx, trace::Stage::Replicate, replicate_start,
-             static_cast<std::uint32_t>(nodes->size()));
-        if (!all_acks->wait().done())
-            ++failover_.quorumCompletions;
-
-        // --- Acknowledge the VM -----------------------------------------
-        device_->connect(reply_qp, req.src, req.srcQp);
-        auto reply = device_->mixedSend(reply_qp, h_send,
-                                        StorageHeader::wireSize, nullptr, 0,
-                                        net::MessageKind::WriteReply, tag,
-                                        req.issueTick, tctx);
-        co_await reply.completion;
-        noteCompleted(payload_size);
-
-        // The replica QPs, latches and send buffers are reused by the
-        // next request — wait for every straggler (late ack, retry, or
-        // abandonment) before looping.
-        co_await all_acks->wait();
     }
+}
+
+sim::Task<void>
+SmartDsServer::chargeParse(const net::Message &msg)
+{
+    // Host CPU: flexibly parse the header, prepare the send.
+    const std::uint32_t depth =
+        static_cast<std::uint32_t>(cores_.queueDepth());
+    const Tick start = sim_.now();
+    co_await cores_.executeAsync(calibration::smartdsHostRequestCost);
+    span(msg.trace, trace::Stage::HostParse, start, depth);
+}
+
+sim::Task<void>
+SmartDsServer::chargeWrite(WriteJob &job)
+{
+    co_await chargeParse(job.msg);
+    Worker &w = static_cast<Worker &>(job.front);
+    // dev_func: compress HBM to HBM, unless the write is latency
+    // sensitive and the replicas forward the received payload.
+    w.block = w.dRecv;
+    job.block.size = job.msg.payload.size;
+    if (job.compress) {
+        auto compressed = device_->devFunc(
+            w.dRecv, job.msg.payload.size, w.dSend, w.dSend->capacity(),
+            w.port, device::EngineOp::Compress, job.msg.trace);
+        co_await compressed.completion;
+        w.block = w.dSend;
+        job.block.size = compressed.size();
+    }
+    // Erasure coding: RS-encode the stripe on-card into the k + m shard
+    // buffers; each replica slot then sends one shard.
+    if (config_.policy == ReplicationPolicy::ErasureCode) {
+        auto encoded = device_->ecEncode(
+            w.block, job.block.size, w.dShards, w.port, config_.ec.dataShards,
+            config_.ec.parityShards, job.msg.trace);
+        co_await encoded.completion;
+        net::Payload shard;
+        shard.size = encoded.size();
+        job.shards.assign(w.dShards.size(), shard);
+        noteStripe(job.msg.tag, static_cast<unsigned>(w.dShards.size()));
+    }
+}
+
+void
+SmartDsServer::bindReplica(WriteJob &job, ReplicaTask &task)
+{
+    Worker &w = static_cast<Worker &>(job.front);
+    SMARTDS_CHECK(task.slot < w.replicaQps.size(),
+                  "placement wider than the worker's replica QPs");
+    SmartDsDevice::Qp *qp = &w.replicaQps[task.slot];
+    const device::BufferRef h_ack = w.hAcks[task.slot], h_send = w.hSend;
+    const device::BufferRef out_buf = task.ec ? w.dShards[task.slot] : w.block;
+    const Bytes out_size = task.blockBytes;
+    const std::uint64_t tag = job.msg.tag;
+    const Tick issue = job.msg.issueTick;
+    task.send = [this, qp, h_ack, h_send, out_buf, out_size, tag, issue,
+                 tctx = job.msg.trace](net::NodeId dst) {
+        // Re-targeting tears down the previous attempt first (QP reset),
+        // so a late ack from the old peer cannot match the fresh
+        // descriptor.
+        device_->resetQp(*qp);
+        device_->connect(*qp, dst, 0);
+        forwardAck(device_->mixedRecv(*qp, h_ack, StorageHeader::wireSize,
+                                      nullptr, 0));
+        device_->mixedSend(*qp, h_send, StorageHeader::wireSize, out_buf,
+                           out_size, net::MessageKind::WriteReplica, tag,
+                           issue, tctx);
+    };
+    task.makeRepair = [this, port = w.port, h_send, out_buf, out_size, tag,
+                       issue](net::NodeId dst) {
+        // Snapshot header and payload now: the worker reuses its buffers
+        // once every replica has arrived, but the repair runs later.
+        const auto snapshot = [](device::BufferRef to,
+                                 const device::BufferRef &from, Bytes n) {
+            if (to->bytes() && from->bytes())
+                std::copy_n(from->bytes()->begin(), n, to->bytes()->begin());
+            to->content = from->content;
+            return to;
+        };
+        auto h = snapshot(device_->hostAlloc(StorageHeader::wireSize), h_send,
+                          StorageHeader::wireSize);
+        auto d = snapshot(device_->devAlloc(out_size ? out_size : 1), out_buf,
+                          out_size);
+        return [this, port, h, d, out_size, tag, issue, dst]() {
+            sim::spawn(sim_,
+                       repairReplica(port, dst, h, d, out_size, tag, issue));
+        };
+    };
+}
+
+sim::Task<RequestEngine::Probe>
+SmartDsServer::probe(Front &front, net::Message fetch, unsigned)
+{
+    // A header-only fetch on the worker's fetch QP. A probe that times
+    // out resets the QP, which flushes the posted receive; a reply to an
+    // earlier request that lands in the receive instead is stale.
+    Worker &w = static_cast<Worker &>(front);
+    const bool shard = fetch.payload.ecK > 0;
+    device_->resetQp(w.fetchQp);
+    device_->connect(w.fetchQp, fetch.dst, 0);
+    w.landed = shard ? w.dShards[fetch.payload.ecShard] : w.dSend;
+    auto reply = device_->mixedRecv(w.fetchQp, w.hFetch,
+                                    StorageHeader::wireSize, w.landed,
+                                    w.landed->capacity());
+    device::BufferRef hint;
+    if (shard) {
+        hint = w.dHint;
+        hint->content = device::BufferContent{};
+        hint->content.compressibility = 0.0;
+        hint->content.originalSize = fetch.payload.originalSize;
+        hint->content.ecK = fetch.payload.ecK;
+        hint->content.ecM = fetch.payload.ecM;
+        hint->content.ecShard = fetch.payload.ecShard;
+        hint->content.ecStripeBytes = fetch.payload.ecStripeBytes;
+    }
+    auto sent = device_->mixedSend(w.fetchQp, w.hSend,
+                                   StorageHeader::wireSize, hint, 0,
+                                   net::MessageKind::ReadFetch, fetch.tag,
+                                   fetch.issueTick, fetch.trace);
+    co_await sent.completion;
+    sim::EventHandle timer;
+    if (config_.failover.ackTimeout > 0)
+        timer = sim_.schedule(
+            config_.failover.ackTimeout,
+            [this, &w]() { device_->resetQp(w.fetchQp); },
+            sim::EventTag::Nic);
+    co_await reply.completion;
+    timer.cancel();
+
+    Probe out;
+    const net::Message *rep = reply.message.get();
+    const bool fetched = rep && rep->kind == net::MessageKind::ReadFetchReply;
+    if (fetched && rep->tag == fetch.tag) {
+        out.reply = *rep;
+        w.landedSize = reply.size();
+    } else {
+        out.stale = fetched;
+    }
+    co_return out;
+}
+
+sim::Task<SmartDsServer::VerifiedBlock>
+SmartDsServer::verifyReplica(Front &front, const net::Message &msg,
+                             const net::Message &)
+{
+    // Every fetched block is decompressed on-card, HBM to HBM, before the
+    // host checks it against the stored header's checksum.
+    Worker &w = static_cast<Worker &>(front);
+    auto plain = device_->devFunc(w.dSend, w.landedSize, w.dRecv,
+                                  w.dRecv->capacity(), w.port,
+                                  device::EngineOp::Decompress, msg.trace);
+    co_await plain.completion;
+    VerifiedBlock out;
+    out.corrupt = w.dRecv->content.corrupted;
+    if (!out.corrupt && device_->config().functional && w.dRecv->bytes() &&
+        w.hFetch->bytes()) {
+        // A header too short to decode fails closed; a zero checksum
+        // means the block was never stamped.
+        const auto stored = landedHeader(*w.hFetch);
+        out.corrupt = !stored ||
+                      (stored->blockChecksum != 0 &&
+                       xxhash32(w.dRecv->bytes()->data(), plain.size()) !=
+                           stored->blockChecksum);
+    }
+    if (!out.corrupt && readCache_ && w.dRecv->bytes())
+        out.plain = std::make_shared<const std::vector<std::uint8_t>>(
+            w.dRecv->bytes()->begin(),
+            w.dRecv->bytes()->begin() +
+                static_cast<std::ptrdiff_t>(plain.size()));
+    co_return out;
+}
+
+sim::Task<bool>
+SmartDsServer::shardIntact(Front &front, const net::Message &msg,
+                           const net::Message &reply)
+{
+    // Scrub the shard with the checksum engine before use.
+    Worker &w = static_cast<Worker &>(front);
+    auto scrub = device_->devFunc(w.landed, w.landedSize, w.dRecv,
+                                  w.dRecv->capacity(), w.port,
+                                  device::EngineOp::Checksum, msg.trace);
+    co_await scrub.completion;
+    co_return !reply.payload.corrupted &&
+        !(w.landed->bytes() &&
+          scrub.completion.value() != reply.payload.ecShardChecksum);
+}
+
+sim::Task<SmartDsServer::VerifiedBlock>
+SmartDsServer::assembleStripe(Front &front, const net::Message &msg,
+                              const std::vector<unsigned> &shard_idx,
+                              const std::vector<net::Message> &shards,
+                              Bytes stripe_bytes, bool)
+{
+    // The RS engine assembles every stripe in HBM, systematic or not
+    // (shard i of the gather landed in shard buffer i), then the LZ4
+    // engine decompresses it.
+    Worker &w = static_cast<Worker &>(front);
+    std::vector<std::pair<unsigned, device::BufferRef>> got;
+    for (std::size_t i = 0; i < shard_idx.size(); ++i)
+        got.emplace_back(shard_idx[i], w.dShards[i]);
+    auto decoded =
+        device_->ecDecode(got, stripe_bytes, w.dSend, w.port,
+                          config_.ec.dataShards, config_.ec.parityShards,
+                          msg.trace);
+    co_await decoded.completion;
+    // The stripe now sits where a fetched replica lands: verify it alike.
+    w.landedSize = stripe_bytes;
+    co_return co_await verifyReplica(front, msg, shards.front());
+}
+
+sim::Task<void>
+SmartDsServer::chargeDecompress(const net::Message &, Bytes, Bytes)
+{
+    co_return; // each fetched block was decompressed on-card as verified
+}
+
+sim::Task<void>
+SmartDsServer::chargeCacheHit(const HotBlockCache::Entry &hit)
+{
+    // In HBM a hit is one device-DRAM read of the plaintext (in host DRAM
+    // a host pass): no fetch round trip, no RS decode, no decompression.
+    if (cacheFlow_)
+        co_await sim::transferAsync(sim_, *cacheFlow_, hit.plainSize);
+    else
+        co_await cores_.executeAsync(calibration::smartdsHostRequestCost);
+}
+
+sim::Task<void>
+SmartDsServer::replyToVm(Front &front, net::Message reply, Reply body)
+{
+    // dev_mixed_send: the header from host memory, the plaintext (if
+    // any) gathered from HBM.
+    Worker &w = static_cast<Worker &>(front);
+    if (body == Reply::Cached) {
+        if (w.dRecv->bytes() && reply.payload.data)
+            std::copy(reply.payload.data->begin(), reply.payload.data->end(),
+                      w.dRecv->bytes()->begin());
+        w.dRecv->content = device::BufferContent{};
+        w.dRecv->content.size = reply.payload.size;
+        w.dRecv->content.compressibility = reply.payload.compressibility;
+    }
+    const bool payload = body == Reply::Served || body == Reply::Cached;
+    device_->connect(w.replyQp, reply.dst, reply.dstQp);
+    auto sent = device_->mixedSend(
+        w.replyQp, w.hSend, StorageHeader::wireSize,
+        payload ? w.dRecv : nullptr, payload ? reply.payload.size : 0,
+        reply.kind, reply.tag, reply.issueTick, reply.trace);
+    co_await sent.completion;
 }
 
 } // namespace smartds::middletier

@@ -25,7 +25,7 @@
 namespace smartds::middletier {
 
 /** Middle tier built on the SmartDS SmartNIC. */
-class SmartDsServer : public MiddleTierServer
+class SmartDsServer : public RequestEngine
 {
   public:
     struct SmartDsConfig
@@ -57,7 +57,67 @@ class SmartDsServer : public MiddleTierServer
     host::CorePool &cores() { return cores_; }
 
   private:
+    /**
+     * One Listing-1 worker: the buffers and queue pairs it allocates once
+     * and lends, as the engine's Front, to every request it serves.
+     */
+    struct Worker : Front
+    {
+        device::BufferRef hRecv, hSend, hFetch, dRecv, dSend;
+        /**
+         * A queue pair and ack header buffer per replica slot, so a retry
+         * re-targeting one replica can reset its own QP without tearing
+         * down a sibling's in-flight send or pending ack.
+         */
+        std::vector<device::SmartDsDevice::Qp> replicaQps;
+        std::vector<device::BufferRef> hAcks;
+        /**
+         * EC: a shard buffer per slot (writes encode into them, reads
+         * gather into them) and a zero-byte hint buffer riding on
+         * header-only shard fetches, so timing-mode storage synthesises
+         * shard-sized replies.
+         */
+        std::vector<device::BufferRef> dShards;
+        device::BufferRef dHint;
+        device::SmartDsDevice::Qp fetchQp, replyQp;
+        /** The block the write's replicas send (dRecv, or dSend). */
+        device::BufferRef block;
+        /** Where the last probe's reply landed, and its payload bytes. */
+        device::BufferRef landed;
+        Bytes landedSize = 0;
+    };
+
+    /**
+     * The receive front end: post split receives on @p port's request
+     * QP and run each request through the engine with this worker's
+     * buffers, holding them until every replica of a write has arrived.
+     */
     sim::Process worker(unsigned port);
+
+    sim::Task<void> chargeWrite(WriteJob &job) override;
+    sim::Task<void> chargeParse(const net::Message &msg) override;
+    sim::Task<void> chargeCacheHit(const HotBlockCache::Entry &hit) override;
+    sim::Task<void> chargeDecompress(const net::Message &msg, Bytes in,
+                                     Bytes out) override;
+    sim::Task<void> replyToVm(Front &front, net::Message reply,
+                              Reply body) override;
+    void bindReplica(WriteJob &job, ReplicaTask &task) override;
+    sim::Task<Probe> probe(Front &front, net::Message fetch,
+                           unsigned attempt) override;
+    sim::Task<VerifiedBlock> verifyReplica(Front &front,
+                                           const net::Message &msg,
+                                           const net::Message &reply) override;
+    sim::Task<bool> shardIntact(Front &front, const net::Message &msg,
+                                const net::Message &reply) override;
+    sim::Task<VerifiedBlock>
+    assembleStripe(Front &front, const net::Message &msg,
+                   const std::vector<unsigned> &shard_idx,
+                   const std::vector<net::Message> &shards, Bytes stripe_bytes,
+                   bool systematic) override;
+
+    /** Route the replica ack @p ack receives into the ack table. */
+    void forwardAck(device::SmartDsDevice::Event ack);
+
     /**
      * Background resend of an abandoned replica: a one-shot queue pair
      * and snapshot buffers, so it survives the originating request's
@@ -67,12 +127,9 @@ class SmartDsServer : public MiddleTierServer
                                device::BufferRef h, device::BufferRef d,
                                Bytes size, std::uint64_t tag, Tick issue);
 
-    sim::Simulator &sim_;
-    ServerConfig config_;
     SmartDsConfig smartds_;
     std::unique_ptr<device::SmartDsDevice> device_;
     host::CorePool cores_;
-    Rng rng_;
     /** The shared request queue pair of each port (clients send here). */
     std::vector<device::SmartDsDevice::Qp> requestQps_;
     /**

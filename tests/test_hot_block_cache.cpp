@@ -26,6 +26,7 @@
 #include "middletier/cpu_only_server.h"
 #include "middletier/hot_block_cache.h"
 #include "middletier/protocol.h"
+#include "middletier/smartds_server.h"
 #include "net/fabric.h"
 #include "sim/simulator.h"
 #include "storage/storage_server.h"
@@ -221,10 +222,11 @@ struct CacheTestbed
     /** One crafted read, run to completion. */
     void
     read(net::NodeId front, std::uint64_t tag, std::uint64_t vm_id,
-         std::uint64_t block_offset)
+         std::uint64_t block_offset, net::QpId front_qp = 0)
     {
         net::Message r;
         r.dst = front;
+        r.dstQp = front_qp;
         r.kind = net::MessageKind::ReadRequest;
         r.headerBytes = StorageHeader::wireSize;
         r.tag = tag;
@@ -239,8 +241,8 @@ struct CacheTestbed
     /** One crafted functional write, mimicking the VmClient encoding. */
     void
     write(net::NodeId front, std::uint64_t tag, std::uint64_t vm_id,
-          std::uint64_t block_offset,
-          const std::vector<std::uint8_t> &plain)
+          std::uint64_t block_offset, const std::vector<std::uint8_t> &plain,
+          net::QpId front_qp = 0)
     {
         StorageHeader hdr;
         hdr.vmId = vm_id;
@@ -251,6 +253,7 @@ struct CacheTestbed
 
         net::Message w;
         w.dst = front;
+        w.dstQp = front_qp;
         w.kind = net::MessageKind::WriteRequest;
         w.headerBytes = StorageHeader::wireSize;
         w.headerData = hdr.encodeShared();
@@ -293,7 +296,7 @@ TEST(HotBlockCacheEndToEnd, RepeatedReadsHitAndServeIdenticalBytes)
     EXPECT_EQ(s.hitBytes, (reads - 1u) * blockBytes);
 }
 
-/** One of the designs built on the shared request engine, on @p bed. */
+/** One of the four designs, on @p bed (SmartDS with a functional card). */
 std::unique_ptr<MiddleTierServer>
 makeServer(Design design, CacheTestbed &bed, ServerConfig config)
 {
@@ -306,8 +309,13 @@ makeServer(Design design, CacheTestbed &bed, ServerConfig config)
                                                    std::move(config));
       case Design::Bf2:
         return std::make_unique<Bf2Server>(bed.fabric, std::move(config));
-      case Design::SmartDs:
-        break;
+      case Design::SmartDs: {
+        SmartDsServer::SmartDsConfig sd;
+        sd.workersPerPort = 2;
+        sd.device.functional = true;
+        return std::make_unique<SmartDsServer>(bed.fabric, bed.memory,
+                                               std::move(config), sd);
+      }
     }
     return nullptr;
 }
@@ -325,13 +333,15 @@ TEST_P(WriteReadRoundTrip, ReadsServeTheWrittenBytes)
     const auto server =
         makeServer(GetParam(), bed, bed.serverConfig(mebibytes(1)));
     ASSERT_NE(server, nullptr);
+    const net::NodeId front = server->frontNode();
+    const net::QpId qp = server->frontQp();
 
     Rng rng(3);
     const std::vector<std::uint8_t> plain =
         bed.corpus.sampleBlock(blockBytes, rng);
-    bed.write(server->frontNode(), 9, 5, 0, plain);
-    bed.read(server->frontNode(), 9, 5, 0);
-    bed.read(server->frontNode(), 9, 5, 0);
+    bed.write(front, 9, 5, 0, plain, qp);
+    bed.read(front, 9, 5, 0, qp);
+    bed.read(front, 9, 5, 0, qp);
 
     ASSERT_EQ(bed.readBytes.size(), 2u);
     EXPECT_EQ(bed.readBytes[0], plain);
@@ -344,16 +354,18 @@ TEST_P(WriteReadRoundTrip, ReadsServeTheWrittenBytes)
 
 INSTANTIATE_TEST_SUITE_P(Designs, WriteReadRoundTrip,
                          ::testing::Values(Design::CpuOnly,
-                                           Design::Accelerator,
-                                           Design::Bf2),
+                                           Design::Accelerator, Design::Bf2,
+                                           Design::SmartDs),
                          [](const ::testing::TestParamInfo<Design> &info) {
                              switch (info.param) {
                                case Design::CpuOnly:
                                  return std::string("CpuOnly");
                                case Design::Accelerator:
                                  return std::string("Accelerator");
-                               default:
+                               case Design::Bf2:
                                  return std::string("Bf2");
+                               default:
+                                 return std::string("SmartDs");
                              }
                          });
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "corpus/corpus.h"
 #include "lz4/lz4.h"
@@ -221,18 +222,60 @@ TEST(MiddleTier, SmartDsFunctionalReplicasDecompressToOriginal)
     EXPECT_GT(verified, 0u);
 }
 
-TEST(MiddleTier, SmartDsLatencySensitiveSkipsCompression)
+/** Design @p d serving @p bed's storage pool. */
+std::unique_ptr<MiddleTierServer>
+makeServer(Design d, Testbed &bed)
+{
+    switch (d) {
+      case Design::CpuOnly:
+        return std::make_unique<CpuOnlyServer>(bed.fabric, bed.memory,
+                                               bed.serverConfig(4));
+      case Design::Accelerator:
+        return std::make_unique<AcceleratorServer>(bed.fabric, bed.memory,
+                                                   bed.serverConfig(2));
+      case Design::Bf2:
+        return std::make_unique<Bf2Server>(bed.fabric, bed.serverConfig(4));
+      case Design::SmartDs: {
+        SmartDsServer::SmartDsConfig sd;
+        sd.workersPerPort = 4;
+        return std::make_unique<SmartDsServer>(bed.fabric, bed.memory,
+                                               bed.serverConfig(2), sd);
+      }
+    }
+    return nullptr;
+}
+
+std::string
+designParamName(const ::testing::TestParamInfo<Design> &info)
+{
+    switch (info.param) {
+      case Design::CpuOnly:
+        return "CpuOnly";
+      case Design::Accelerator:
+        return "Accelerator";
+      case Design::Bf2:
+        return "Bf2";
+      case Design::SmartDs:
+        return "SmartDs";
+    }
+    return "Unknown";
+}
+
+class LatencySensitiveWrites : public ::testing::TestWithParam<Design>
+{
+};
+
+TEST_P(LatencySensitiveWrites, SkipCompression)
 {
     // Latency-sensitive writes are forwarded uncompressed (Listing 1's
-    // is_latency_important branch): replicas store full-size blocks.
+    // is_latency_important branch) on every design: replicas store
+    // full-size blocks.
     Testbed bed(/*functional_store=*/true);
-    SmartDsServer::SmartDsConfig sd;
-    sd.workersPerPort = 4;
-    SmartDsServer server(bed.fabric, bed.memory, bed.serverConfig(2), sd);
+    const auto server = makeServer(GetParam(), bed);
 
     workload::VmClient::Config cc;
-    cc.target = server.frontNode();
-    cc.targetQp = server.frontQp();
+    cc.target = server->frontNode();
+    cc.targetQp = server->frontQp();
     cc.outstanding = 2;
     cc.ratios = &bed.ratios;
     cc.latencySensitiveFraction = 1.0;
@@ -243,7 +286,7 @@ TEST(MiddleTier, SmartDsLatencySensitiveSkipsCompression)
     client.stop();
     bed.sim.run();
 
-    ASSERT_GT(server.requestsCompleted(), 0u);
+    ASSERT_GT(server->requestsCompleted(), 0u);
     unsigned checked = 0;
     for (const auto &s : bed.storage) {
         for (std::uint64_t tag = 1; tag < bed.tags; ++tag) {
@@ -256,6 +299,12 @@ TEST(MiddleTier, SmartDsLatencySensitiveSkipsCompression)
     }
     EXPECT_GT(checked, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Designs, LatencySensitiveWrites,
+                         ::testing::Values(Design::CpuOnly,
+                                           Design::Accelerator, Design::Bf2,
+                                           Design::SmartDs),
+                         designParamName);
 
 TEST(MiddleTier, SmartDsReadPathDecompressesOnCard)
 {

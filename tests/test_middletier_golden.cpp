@@ -244,9 +244,9 @@ const std::vector<Pin> golden = {
     {"faulty/bf2", 0xbf719d2au, 2478u, 159085u,
      {1621, 1361, 368, 260, 277, 196, 1932, 260, 0, 31, 0, 0, 0, 16209452},
      {33, 822, 135168, 812, 493, 60}},
-    {"faulty/smartds", 0x1ae3d7e5u, 3784u, 488249u,
-     {2525, 2071, 690, 454, 437, 343, 2907, 454, 0, 43, 0, 0, 0, 24657591},
-     {26, 1294, 106496, 1271, 958, 54}},
+    {"faulty/smartds", 0x95132e7fu, 3789u, 489173u,
+     {2567, 2106, 688, 461, 462, 359, 2915, 461, 0, 38, 0, 0, 0, 24759216},
+     {27, 1299, 110592, 1268, 956, 54}},
     {"faulty_ec/cpu_only", 0x48d6f921u, 1700u, 248197u,
      {2568, 2166, 736, 402, 605, 374, 1404, 402, 0, 960, 0, 1427, 376, 5982967},
      {11, 620, 45056, 531, 243, 25}},
@@ -256,9 +256,9 @@ const std::vector<Pin> golden = {
     {"faulty_ec/bf2", 0xfc04a4d5u, 1151u, 145096u,
      {1790, 1514, 483, 276, 441, 255, 965, 276, 0, 642, 0, 979, 248, 4105762},
      {15, 411, 61440, 349, 68, 24}},
-    {"faulty_ec/smartds", 0xd010e53eu, 1682u, 480034u,
-     {2969, 2364, 875, 605, 707, 464, 1485, 605, 0, 804, 0, 1513, 305, 6411752},
-     {7, 639, 28672, 468, 190, 20}},
+    {"faulty_ec/smartds", 0x79895f06u, 2004u, 551138u,
+     {3264, 2607, 921, 657, 744, 490, 1678, 657, 0, 1111, 0, 1723, 415, 7245932},
+     {10, 723, 40960, 589, 309, 21}},
 };
 // clang-format on
 
