@@ -17,8 +17,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <fstream>
 #include <initializer_list>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/file_io.h"
@@ -108,6 +110,40 @@ unixTime()
 }
 
 /**
+ * The host a bench_perf record was measured on, as the JSON object
+ * {"nproc":N,"cpu_model":"..."} (the same shape as the perfbench run
+ * manifest). Wall-clock only compares within one host, so
+ * tools/perf_diff.py keys records on it.
+ */
+inline std::string
+hostJson()
+{
+    std::string model = "unknown";
+    std::ifstream in("/proc/cpuinfo");
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const auto colon = line.find(':');
+        const auto first = colon == std::string::npos
+                               ? std::string::npos
+                               : line.find_first_not_of(' ', colon + 1);
+        if (first != std::string::npos)
+            model = line.substr(first);
+        break;
+    }
+    std::string escaped;
+    for (const char c : model) {
+        if (c == '"' || c == '\\')
+            escaped += '\\';
+        if (static_cast<unsigned char>(c) >= 0x20)
+            escaped += c;
+    }
+    return "{\"nproc\":" +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ",\"cpu_model\":\"" + escaped + "\"}";
+}
+
+/**
  * Under `--smoke`, trim a sweep's value list to its first element (the
  * first value is always each sweep's baseline point, so relative columns
  * like "vs-calm" stay well-defined).
@@ -158,8 +194,8 @@ sweep(std::initializer_list<T> full)
  *    results/<bench>_statehash.csv for cross-process comparison.
  *
  * On destruction appends one JSON line to results/bench_perf.jsonl with
- * the events executed, wall-clock, events/sec and peak RSS of the run,
- * so the repo's simulation-performance trajectory is measurable
+ * the events executed, wall-clock, events/sec and peak RSS of the run
+ * and the host it ran on (hostJson()), so the repo's simulation-performance trajectory is measurable
  * PR-over-PR.
  */
 class Harness
@@ -222,20 +258,20 @@ class Harness
         }
         domain_events += "]";
 
-        char line[768];
+        char line[1024];
         std::snprintf(
             line, sizeof(line),
             "{\"bench\":\"%s\",\"jobs\":%u,\"smoke\":%s,"
             "\"shards\":%u,\"domains\":%u,"
             "\"events\":%llu,\"wall_s\":%.3f,\"events_per_sec\":%.0f,"
             "\"cross_events\":%llu,\"domain_events\":%s,"
-            "\"peak_rss_mb\":%.1f,\"unix_time\":%lld}",
+            "\"peak_rss_mb\":%.1f,\"host\":%s,\"unix_time\":%lld}",
             name_.c_str(), jobs_, smoke() ? "true" : "false",
             shardsFlag() == 0 ? 1 : shardsFlag(), maxDomains_,
             static_cast<unsigned long long>(events), wall,
             wall > 0.0 ? static_cast<double>(events) / wall : 0.0,
             static_cast<unsigned long long>(crossEvents_),
-            domain_events.c_str(), rss_mb, unixTime());
+            domain_events.c_str(), rss_mb, hostJson().c_str(), unixTime());
 
         // One write() on an O_APPEND fd: several bench binaries running
         // under ctest -j append here concurrently, and buffered ofstream

@@ -116,14 +116,14 @@ main(int argc, char **argv)
     // A second bench_perf record (besides the Harness events/sec line)
     // tracking the cache's wall-clock win PR-over-PR. perf_diff.py keys
     // on events_per_sec records and skips this one.
-    char line[256];
+    char line[512];
     std::snprintf(line, sizeof(line),
                   "{\"bench\":\"micro_functional\",\"metric\":"
                   "\"cache_speedup\",\"jobs\":%u,\"smoke\":%s,"
                   "\"wall_on_s\":%.3f,\"wall_off_s\":%.3f,"
-                  "\"speedup\":%.2f,\"unix_time\":%lld}",
+                  "\"speedup\":%.2f,\"host\":%s,\"unix_time\":%lld}",
                   harness.jobs(), smoke() ? "true" : "false", wall_on,
-                  wall_off, speedup, unixTime());
+                  wall_off, speedup, hostJson().c_str(), unixTime());
     if (!appendLineAtomic("results/bench_perf.jsonl", line))
         warn("could not append to results/bench_perf.jsonl");
     std::printf("[bench_perf] %s\n", line);

@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/checksum.h"
+#include "ec/reed_solomon.h"
 #include "lz4/lz4.h"
 
 namespace smartds::corpus {
@@ -103,6 +104,74 @@ BlockCodecCache::lookupCompressed(std::uint32_t block_id,
                                   std::size_t size) const
 {
     return guarded(block_id, data, size, true);
+}
+
+const StripeTable &
+BlockCodecCache::stripes(unsigned k, unsigned m) const
+{
+    const std::lock_guard<std::mutex> lock(stripes_mutex_);
+    auto &table = stripes_[{k, m}];
+    if (!table)
+        table = std::make_unique<const StripeTable>(*this, k, m);
+    return *table;
+}
+
+StripeTable::StripeTable(const BlockCodecCache &cache, unsigned k, unsigned m)
+    : k_(k), m_(m),
+      storage_(std::make_shared<std::vector<std::vector<std::uint8_t>>>())
+{
+    const ec::RsCodec codec(k, m);
+    const std::size_t total = cache.blocks() * n();
+    storage_->reserve(total);
+    shards_.reserve(total);
+    checksums_.reserve(total);
+    for (std::size_t b = 0; b < cache.blocks(); ++b) {
+        const std::vector<std::uint8_t> &stripe = *cache.entry(b).compressed;
+        for (auto &shard : codec.encode(stripe.data(), stripe.size())) {
+            checksums_.push_back(xxhash32(shard));
+            storage_->push_back(std::move(shard));
+        }
+    }
+    // Alias after the fill, as the cache's own storage does.
+    for (const auto &shard : *storage_)
+        shards_.emplace_back(storage_, &shard);
+}
+
+std::size_t
+StripeTable::index(std::size_t block_index, unsigned s) const
+{
+    SMARTDS_CHECK(s < n() && block_index < shards_.size() / n(),
+                  "stripe memo shard (%zu, %u) out of range", block_index, s);
+    return block_index * n() + s;
+}
+
+const StripeTable::Shard &
+StripeTable::shard(std::size_t block_index, unsigned s) const
+{
+    return shards_[index(block_index, s)];
+}
+
+std::uint32_t
+StripeTable::checksum(std::size_t block_index, unsigned s) const
+{
+    return checksums_[index(block_index, s)];
+}
+
+const StripeTable::Shard *
+StripeTable::lookupShard(std::uint32_t block_id, unsigned s,
+                         const std::uint8_t *data, std::size_t size) const
+{
+    if (block_id == 0 || block_id > shards_.size() / n() || s >= n() ||
+        data == nullptr)
+        return nullptr;
+    const std::size_t i = index(block_id - 1, s);
+    const Shard &want = shards_[i];
+    if (size != want->size())
+        return nullptr;
+    // As BlockCodecCache::guarded: identity, else the hash guard.
+    if (data == want->data() || xxhash32(data, size) == checksums_[i])
+        return &want;
+    return nullptr;
 }
 
 namespace {

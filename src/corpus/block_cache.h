@@ -18,18 +18,71 @@
  * bytes were mutated after caching (fault-layer bit flips, trace-replay
  * bytes not backed by the corpus) therefore miss and fall back to the
  * real codec, keeping functional verification semantics unchanged.
+ *
+ * The same holds one level down for erasure coding: stripes(k, m) memoizes
+ * the RS(k, m) shards of every block's compressed form, so an EC write of
+ * a corpus block hands out aliases of k + m memo buffers instead of
+ * encoding, hashing and storing fresh copies.
  */
 
 #ifndef SMARTDS_CORPUS_BLOCK_CACHE_H_
 #define SMARTDS_CORPUS_BLOCK_CACHE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "corpus/corpus.h"
 
 namespace smartds::corpus {
+
+class BlockCodecCache;
+
+/**
+ * The RS(k, m) stripe of every block's compressed form: for each block
+ * the k + m shards of ec::RsCodec(k, m).encode(compressed) and their
+ * xxHash32 checksums. Shards alias table-owned storage exactly like the
+ * cache's plain and compressed buffers, so a stored shard is a refcount
+ * bump and outlives the table.
+ */
+class StripeTable
+{
+  public:
+    using Shard = std::shared_ptr<const std::vector<std::uint8_t>>;
+
+    StripeTable(const BlockCodecCache &cache, unsigned k, unsigned m);
+
+    unsigned k() const { return k_; }
+    unsigned m() const { return m_; }
+    unsigned n() const { return k_ + m_; }
+
+    /** Shard @p s (0..n-1) of block @p block_index (0-based). */
+    const Shard &shard(std::size_t block_index, unsigned s) const;
+    /** xxHash32 of shard(@p block_index, @p s). */
+    std::uint32_t checksum(std::size_t block_index, unsigned s) const;
+
+    /**
+     * Shard @p s of @p block_id (1-based, as Payload::blockId) when
+     * @p data/@p size are provably its bytes: the memo's own buffer, or
+     * equal size and xxHash32 (the corruption guard of BlockCodecCache).
+     * Null otherwise.
+     */
+    const Shard *lookupShard(std::uint32_t block_id, unsigned s,
+                             const std::uint8_t *data, std::size_t size) const;
+
+  private:
+    std::size_t index(std::size_t block_index, unsigned s) const;
+
+    unsigned k_;
+    unsigned m_;
+    // Block-major, n() entries per block; shards_ alias into storage_.
+    std::shared_ptr<std::vector<std::vector<std::uint8_t>>> storage_;
+    std::vector<Shard> shards_;
+    std::vector<std::uint32_t> checksums_;
+};
 
 class BlockCodecCache
 {
@@ -75,6 +128,13 @@ class BlockCodecCache
                                   const std::uint8_t *data,
                                   std::size_t size) const;
 
+    /**
+     * The RS(@p k, @p m) stripe memo of every block, built on the first
+     * call for that geometry (thread-safe) and kept for the cache's
+     * lifetime, so the reference stays valid and callers may hold it.
+     */
+    const StripeTable &stripes(unsigned k, unsigned m) const;
+
   private:
     const Entry *guarded(std::uint32_t block_id, const std::uint8_t *data,
                          std::size_t size, bool compressed) const;
@@ -88,6 +148,10 @@ class BlockCodecCache
     std::shared_ptr<std::vector<std::vector<std::uint8_t>>> plain_storage_;
     std::shared_ptr<std::vector<std::vector<std::uint8_t>>> compressed_storage_;
     std::vector<Entry> entries_;
+    mutable std::mutex stripes_mutex_;
+    mutable std::map<std::pair<unsigned, unsigned>,
+                     std::unique_ptr<const StripeTable>>
+        stripes_;
 };
 
 /**

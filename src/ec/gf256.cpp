@@ -12,6 +12,9 @@ struct Tables {
     // exp_ is doubled so gfMul can skip the mod-255 on the sum of logs.
     std::array<std::uint8_t, 512> exp_;
     std::array<std::uint8_t, 256> log_;
+    // mul_[c][s] = c * s (64 KiB): gfMulAdd reads one 256-byte row per
+    // coefficient, one lookup per byte with no zero test.
+    std::array<std::array<std::uint8_t, 256>, 256> mul_;
 
     Tables()
     {
@@ -27,6 +30,11 @@ struct Tables {
         exp_[510] = exp_[0];
         exp_[511] = exp_[1];
         log_[0] = 0; // never read: callers guard zero operands
+        for (unsigned a = 0; a < 256; ++a)
+            for (unsigned b = 0; b < 256; ++b)
+                mul_[a][b] = a == 0 || b == 0
+                                 ? 0
+                                 : exp_[log_[a] + log_[b]];
     }
 };
 
@@ -99,13 +107,9 @@ gfMulAdd(std::uint8_t *dst, const std::uint8_t *src, std::uint8_t c,
             dst[i] ^= src[i];
         return;
     }
-    const auto &t = tables();
-    const std::uint8_t lc = t.log_[c];
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t s = src[i];
-        if (s != 0)
-            dst[i] ^= t.exp_[t.log_[s] + lc];
-    }
+    const std::array<std::uint8_t, 256> &row = tables().mul_[c];
+    for (std::size_t i = 0; i < n; ++i)
+        dst[i] ^= row[src[i]];
 }
 
 } // namespace smartds::ec

@@ -192,9 +192,20 @@ MiddleTierServer::encodeShards(const ServerConfig &config, std::uint64_t tag,
     const ec::RsCodec &codec = ecCodec(config);
     const unsigned n = codec.n();
     const Bytes shard_bytes = ec::RsCodec::shardSize(block.size, codec.k());
+    // A corpus block (the guard proves the bytes are the cached compressed
+    // block) takes its shards and checksums from the cache's stripe memo,
+    // as aliases; anything else runs the codec.
+    const corpus::StripeTable *memo = nullptr;
     std::vector<std::vector<std::uint8_t>> encoded;
-    if (block.data)
+    if (block.data && config.blockCache &&
+        config.blockCache->lookupCompressed(block.blockId, block.data->data(),
+                                            block.data->size())) {
+        if (!stripes_)
+            stripes_ = &config.blockCache->stripes(codec.k(), codec.m());
+        memo = stripes_;
+    } else if (block.data) {
         encoded = codec.encode(block.data->data(), block.data->size());
+    }
     std::vector<net::Payload> shards(n);
     for (unsigned s = 0; s < n; ++s) {
         net::Payload &p = shards[s];
@@ -206,7 +217,10 @@ MiddleTierServer::encodeShards(const ServerConfig &config, std::uint64_t tag,
         p.ecM = static_cast<std::uint8_t>(codec.m());
         p.ecShard = static_cast<std::uint8_t>(s);
         p.ecStripeBytes = block.size;
-        if (!encoded.empty()) {
+        if (memo) {
+            p.data = memo->shard(block.blockId - 1, s);
+            p.ecShardChecksum = memo->checksum(block.blockId - 1, s);
+        } else if (!encoded.empty()) {
             auto bytes = std::make_shared<std::vector<std::uint8_t>>(
                 std::move(encoded[s]));
             p.ecShardChecksum = xxhash32(*bytes);

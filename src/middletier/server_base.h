@@ -36,6 +36,7 @@
 
 namespace smartds::corpus {
 class BlockCodecCache;
+class StripeTable;
 }
 
 namespace smartds::middletier {
@@ -344,7 +345,8 @@ class MiddleTierServer
     /**
      * Split one (compressed) block payload into k + m shard payloads.
      * Functional payloads are RS-encoded byte-for-byte, each shard
-     * carrying an xxhash32 checksum of its bytes; timing-only payloads
+     * carrying an xxhash32 checksum of its bytes (corpus blocks alias the
+     * config's block-cache stripe memo instead); timing-only payloads
      * get the shard geometry and sizes without data. Also counts the
      * stripe (noteStripe()).
      */
@@ -417,6 +419,8 @@ class MiddleTierServer
     std::uint64_t requestsCompleted_ = 0;
     Bytes payloadBytesServed_ = 0;
     std::unique_ptr<ec::RsCodec> codec_;
+    /** ServerConfig::blockCache's memo for codec_'s geometry, once used. */
+    const corpus::StripeTable *stripes_ = nullptr;
 #if SMARTDS_CHECKED_BUILD
     std::map<std::uint64_t, std::vector<bool>> ecLedger_;
 #endif

@@ -296,6 +296,36 @@ SmartDsDevice::mixedRecv(const Qp &qp, BufferRef h, Bytes h_size,
     return event;
 }
 
+const corpus::StripeTable &
+SmartDsDevice::stripeMemo(unsigned k, unsigned m)
+{
+    if (!stripes_ || stripes_->k() != k || stripes_->m() != m)
+        stripes_ = &config_.blockCache->stripes(k, m);
+    return *stripes_;
+}
+
+std::shared_ptr<const std::vector<std::uint8_t>>
+SmartDsDevice::cachedBytes(const Buffer &d, Bytes size)
+{
+    const BufferContent &c = d.content;
+    if (!config_.blockCache || c.blockId == 0)
+        return nullptr;
+    const std::uint8_t *data = d.bytes()->data();
+    if (c.ecK > 0) {
+        const auto *shard =
+            stripeMemo(c.ecK, c.ecM).lookupShard(c.blockId, c.ecShard, data,
+                                                 size);
+        return shard ? *shard : nullptr;
+    }
+    const corpus::BlockCodecCache::Entry *cached =
+        c.compressed ? config_.blockCache->lookupCompressed(c.blockId, data,
+                                                            size)
+                     : config_.blockCache->lookupPlain(c.blockId, data, size);
+    if (!cached)
+        return nullptr;
+    return c.compressed ? cached->compressed : cached->plain;
+}
+
 SmartDsDevice::Event
 SmartDsDevice::mixedSend(const Qp &qp, BufferRef h, Bytes h_size,
                          BufferRef d, Bytes d_size, net::MessageKind kind,
@@ -328,30 +358,18 @@ SmartDsDevice::mixedSend(const Qp &qp, BufferRef h, Bytes h_size,
         msg.payload.ecShardChecksum = d->content.ecShardChecksum;
         msg.payload.ecStripeBytes = d->content.ecStripeBytes;
         if (config_.functional && d->bytes()) {
-            // Corpus-backed payloads are sent as aliases of the cache's
-            // immutable buffer instead of copying out of the (reusable)
-            // HBM buffer. The hash guard proves the bytes are identical,
-            // so the message is byte-for-byte what the copy would carry.
-            const corpus::BlockCodecCache::Entry *cached = nullptr;
-            if (config_.blockCache) {
-                cached = d->content.compressed
-                             ? config_.blockCache->lookupCompressed(
-                                   d->content.blockId, d->bytes()->data(),
-                                   d_size)
-                             : config_.blockCache->lookupPlain(
-                                   d->content.blockId, d->bytes()->data(),
-                                   d_size);
-            }
-            if (cached) {
-                msg.payload.data =
-                    d->content.compressed ? cached->compressed : cached->plain;
-            } else {
+            // Corpus-backed payloads (blocks and RS shards) are sent as
+            // aliases of the cache's immutable buffer instead of copying
+            // out of the (reusable) HBM buffer. The hash guard proves the
+            // bytes are identical, so the message is byte-for-byte what
+            // the copy would carry.
+            msg.payload.data = cachedBytes(*d, d_size);
+            if (!msg.payload.data)
                 msg.payload.data =
                     std::make_shared<const std::vector<std::uint8_t>>(
                         d->bytes()->begin(),
                         d->bytes()->begin() +
                             static_cast<std::ptrdiff_t>(d_size));
-            }
         }
     }
     if (config_.functional && h && h->bytes()) {
@@ -610,11 +628,21 @@ SmartDsDevice::ecEncode(BufferRef src, Bytes src_size,
                        "EC shard buffer smaller than the shard");
 
     // Functional encode up front; the pipeline below charges time for it
-    // and writes the results back when the HBM write lands.
+    // and writes the results back when the HBM write lands. A corpus
+    // block (hash-guarded) takes its shards and checksums from the
+    // cache's stripe memo; anything else runs the codec.
+    const corpus::StripeTable *memo = nullptr;
+    std::size_t memo_block = 0;
     std::vector<std::vector<std::uint8_t>> encoded;
     if (config_.functional && src->bytes()) {
-        ec::RsCodec codec(k, m);
-        encoded = codec.encode(src->bytes()->data(), src_size);
+        if (config_.blockCache &&
+            config_.blockCache->lookupCompressed(
+                src->content.blockId, src->bytes()->data(), src_size)) {
+            memo = &stripeMemo(k, m);
+            memo_block = src->content.blockId - 1;
+        } else {
+            encoded = ec::RsCodec(k, m).encode(src->bytes()->data(), src_size);
+        }
     }
 
     Event event{sim::Completion(sim_), nullptr};
@@ -622,12 +650,17 @@ SmartDsDevice::ecEncode(BufferRef src, Bytes src_size,
     trace::Tracer *tracer = tctx ? fabric_.tracer() : nullptr;
     const Tick start = sim_.now();
     auto finish = [this, src, shards, k, m, src_size, shard_bytes, event,
-                   tracer, tctx, start,
+                   tracer, tctx, start, memo, memo_block,
                    encoded = std::move(encoded)]() mutable {
         for (unsigned s = 0; s < shards.size(); ++s) {
             auto &shard = *shards[s];
             std::uint32_t checksum = 0;
-            if (!encoded.empty() && shard.bytes()) {
+            if (memo && shard.bytes()) {
+                // HBM still holds the bytes; the memo only spares the math.
+                std::memcpy(shard.bytes()->data(),
+                            memo->shard(memo_block, s)->data(), shard_bytes);
+                checksum = memo->checksum(memo_block, s);
+            } else if (!encoded.empty() && shard.bytes()) {
                 std::memcpy(shard.bytes()->data(), encoded[s].data(),
                             shard_bytes);
                 checksum = xxhash32(encoded[s].data(), shard_bytes);

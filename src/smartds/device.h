@@ -41,6 +41,7 @@
 
 namespace smartds::corpus {
 class BlockCodecCache;
+class StripeTable;
 }
 
 namespace smartds::device {
@@ -299,6 +300,15 @@ class SmartDsDevice
     void onPortReceive(unsigned port_index, net::Message msg);
     void performSplit(unsigned port_index, RecvDescriptor desc,
                       net::Message msg);
+    /** The block cache's RS(k, m) stripe memo (config_.blockCache set). */
+    const corpus::StripeTable &stripeMemo(unsigned k, unsigned m);
+    /**
+     * The codec cache's immutable copy of @p d's first @p size bytes: the
+     * plain or compressed block, or the memo shard of an RS shard. Null
+     * unless the hash guard proves the bytes equal.
+     */
+    std::shared_ptr<const std::vector<std::uint8_t>>
+    cachedBytes(const Buffer &d, Bytes size);
 
     net::Fabric &fabric_;
     sim::Simulator &sim_;
@@ -314,6 +324,8 @@ class SmartDsDevice
     std::vector<std::unique_ptr<PortState>> portStates_;
     /** Header bytes of the last functional send (see mixedSend). */
     std::shared_ptr<const std::vector<std::uint8_t>> lastHeader_;
+    /** Memo of the last geometry stripeMemo() served. */
+    const corpus::StripeTable *stripes_ = nullptr;
 };
 
 } // namespace smartds::device

