@@ -2,15 +2,18 @@
  * @file
  * Microbenchmarks of the functional LZ4 codec on the synthetic corpus
  * (google-benchmark): compression/decompression throughput per profile
- * and effort, plus the achieved ratios. These are the *functional*
- * numbers of this host; the simulator's software-compression *rate* is
- * calibrated to the paper's platform (2.1 Gbps/logical core at 2.2 GHz)
- * in common/calibration.h.
+ * and effort, plus the achieved ratios; compression of the 4 MiB set-up
+ * corpus with a fresh context per block (the free function) and with one
+ * reused lz4::Compressor; and corpus synthesis per profile. These are
+ * the *functional* numbers of this host; the simulator's
+ * software-compression *rate* is calibrated to the paper's platform
+ * (2.1 Gbps/logical core at 2.2 GHz) in common/calibration.h.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -86,7 +89,80 @@ decompressProfile(benchmark::State &state, corpus::Profile profile)
     state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 
+/**
+ * 4 KiB blocks of the 4 MiB ratio corpus in order, as set-up compresses
+ * them: each with a fresh context (@p reuse false: the free function, which
+ * allocates and fills the match tables per block) or all with one
+ * lz4::Compressor.
+ */
+void
+compressCorpus(benchmark::State &state, int effort, bool reuse)
+{
+    static const corpus::SyntheticCorpus corpus(4u << 20, 42);
+    lz4::Compressor context;
+    std::vector<std::uint8_t> out(lz4::maxCompressedSize(4096));
+    std::size_t block = 0;
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const std::uint8_t *src = corpus.blockPtr(4096, block);
+        const auto n =
+            reuse ? context.compress(src, 4096, out.data(), out.size(), effort)
+                  : lz4::compress(src, 4096, out.data(), out.size(), effort);
+        benchmark::DoNotOptimize(n);
+        bytes += 4096;
+        block = (block + 1) % corpus.blockCount(4096);
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+
+/** Synthesise 1 MiB of @p profile per iteration. */
+void
+synthesize(benchmark::State &state, corpus::Profile profile)
+{
+    Rng rng(2024);
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const auto data = corpus::generate(profile, 1u << 20, rng);
+        benchmark::DoNotOptimize(data.data());
+        bytes += data.size();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+
+/**
+ * Console output as usual, plus each benchmark's MB/s, for the
+ * bench_perf record main() appends.
+ */
+class RateCollector : public benchmark::ConsoleReporter
+{
+  public:
+    void
+    ReportRuns(const std::vector<Run> &runs) override
+    {
+        for (const Run &run : runs) {
+            const auto it = run.counters.find("bytes_per_second");
+            if (!run.error_occurred && it != run.counters.end())
+                mbPerSecond[run.benchmark_name()] = it->second.value / 1e6;
+        }
+        ConsoleReporter::ReportRuns(runs);
+    }
+
+    std::map<std::string, double> mbPerSecond;
+};
+
 } // namespace
+
+BENCHMARK_CAPTURE(compressCorpus, fresh_e1, 1, false);
+BENCHMARK_CAPTURE(compressCorpus, reused_e1, 1, true);
+BENCHMARK_CAPTURE(compressCorpus, fresh_e8, 8, false);
+BENCHMARK_CAPTURE(compressCorpus, reused_e8, 8, true);
+
+BENCHMARK_CAPTURE(synthesize, text, corpus::Profile::Text);
+BENCHMARK_CAPTURE(synthesize, xml, corpus::Profile::Xml);
+BENCHMARK_CAPTURE(synthesize, database, corpus::Profile::Database);
+BENCHMARK_CAPTURE(synthesize, executable, corpus::Profile::Executable);
+BENCHMARK_CAPTURE(synthesize, scientific, corpus::Profile::Scientific);
+BENCHMARK_CAPTURE(synthesize, imaging, corpus::Profile::Imaging);
 
 BENCHMARK_CAPTURE(compressProfile, text_e1, corpus::Profile::Text, 1);
 BENCHMARK_CAPTURE(compressProfile, text_e6, corpus::Profile::Text, 6);
@@ -120,7 +196,27 @@ main(int argc, char **argv)
     benchmark::Initialize(&bench_argc, args.data());
     if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data()))
         return 1;
-    benchmark::RunSpecifiedBenchmarks();
+    RateCollector reporter;
+    benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
+
+    // A second bench_perf record (besides the Harness line): MB/s per
+    // benchmark, keyed by host, so codec and synthesis speed-ups have a
+    // same-host before and after. perf_diff.py skips it.
+    std::string cases;
+    for (const auto &[name, mb_s] : reporter.mbPerSecond) {
+        char buf[160];
+        std::snprintf(buf, sizeof(buf), "%s\"%s\":%.1f",
+                      cases.empty() ? "" : ",", name.c_str(), mb_s);
+        cases += buf;
+    }
+    const std::string line =
+        std::string("{\"bench\":\"micro_lz4\",\"metric\":\"mb_s\",") +
+        "\"smoke\":" + (harness.smoke() ? "true" : "false") +
+        ",\"cases\":{" + cases + "},\"host\":" + bench::hostJson() +
+        ",\"unix_time\":" + std::to_string(bench::unixTime()) + "}";
+    if (!appendLineAtomic("results/bench_perf.jsonl", line))
+        warn("could not append to results/bench_perf.jsonl");
+    std::printf("[bench_perf] %s\n", line.c_str());
     return 0;
 }

@@ -26,17 +26,20 @@ BlockCodecCache::BlockCodecCache(const SyntheticCorpus &corpus,
     plain_storage_->reserve(blocks);
     compressed_storage_->reserve(blocks);
     entries_.reserve(blocks);
+    // One context and one output buffer serve the whole build; each block
+    // keeps an exact-size copy of its compressed bytes.
+    lz4::Compressor compressor;
+    std::vector<std::uint8_t> out(lz4::maxCompressedSize(block_bytes));
     for (std::size_t i = 0; i < blocks; ++i) {
         const std::uint8_t *src = corpus.blockPtr(block_bytes, i);
         plain_storage_->emplace_back(src, src + block_bytes);
 
-        std::vector<std::uint8_t> out(lz4::maxCompressedSize(block_bytes));
-        const auto n =
-            lz4::compress(src, block_bytes, out.data(), out.size(), effort);
+        const auto n = compressor.compress(src, block_bytes, out.data(),
+                                           out.size(), effort);
         SMARTDS_CHECK(n.has_value(), "block cache compress failed");
-        out.resize(*n);
-        out.shrink_to_fit();
-        compressed_storage_->push_back(std::move(out));
+        compressed_storage_->emplace_back(out.begin(),
+                                          out.begin() +
+                                              static_cast<std::ptrdiff_t>(*n));
     }
     for (std::size_t i = 0; i < blocks; ++i) {
         Entry e;

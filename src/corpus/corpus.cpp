@@ -1,8 +1,7 @@
 #include "corpus/corpus.h"
 
-#include <array>
-#include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -11,6 +10,17 @@
 namespace smartds::corpus {
 
 namespace {
+
+// Every generator below writes its profile in place: it takes a pointer
+// into a buffer that holds at least `size + generatorSlack` bytes, writes
+// whole records until it has produced `size` bytes or more, and returns
+// the end of what it wrote. The caller truncates to `size`. The draws
+// made for the overshooting record still advance the RNG, and the next
+// part of a corpus continues from there; the corpus bytes depend on it.
+// Every record starts below `size`, and the
+// furthest any write reaches from a record's start is 61 bytes (the
+// fixed-width copy of an XML closing tag), so the slack covers them all.
+constexpr std::size_t generatorSlack = 128;
 
 // ------------------------------------------------------------------ Text
 
@@ -31,55 +41,97 @@ const char *const vocabulary[] = {
 constexpr std::size_t vocabularySize =
     sizeof(vocabulary) / sizeof(vocabulary[0]);
 
-std::vector<std::uint8_t>
-generateText(std::size_t size, Rng &rng)
+/**
+ * A word or phrase padded to a fixed width, so the writers copy it with
+ * one constant-size memcpy and advance by its true length.
+ */
+template <std::size_t Width>
+struct Padded
+{
+    std::uint8_t len = 0;
+    char text[Width] = {};
+
+    explicit Padded(const char *s)
+    {
+        const std::size_t n = std::strlen(s);
+        SMARTDS_CHECK(n <= Width, "corpus word '%s' wider than %zu", s, Width);
+        std::memcpy(text, s, n);
+        len = static_cast<std::uint8_t>(n);
+    }
+
+    std::uint8_t *
+    write(std::uint8_t *p) const
+    {
+        std::memcpy(p, text, Width);
+        return p + len;
+    }
+};
+
+/** A vocabulary word in lower case and sentence-initial capitalised form. */
+struct Word
+{
+    Padded<16> lower;
+    Padded<16> capital;
+
+    explicit Word(const char *s) : lower(s), capital(s)
+    {
+        capital.text[0] = static_cast<char>(capital.text[0] - 'a' + 'A');
+    }
+};
+
+const std::vector<Word> &
+wordTable()
+{
+    static const std::vector<Word> table(std::begin(vocabulary),
+                                         std::end(vocabulary));
+    return table;
+}
+
+std::uint8_t *
+writeText(std::uint8_t *out, std::size_t size, Rng &rng)
 {
     // Recurring stock phrases model the multi-word repetition real prose
     // has (names, idioms) that single-word sampling misses.
-    static const char *const phrases[] = {
-        "the middle tier server ",
-        "it was the best of times ",
-        "in the course of the morning ",
-        "as a matter of fact ",
+    static const Padded<32> phrases[] = {
+        Padded<32>("the middle tier server "),
+        Padded<32>("it was the best of times "),
+        Padded<32>("in the course of the morning "),
+        Padded<32>("as a matter of fact "),
     };
-    std::vector<std::uint8_t> out;
-    out.reserve(size + 32);
+    const std::vector<Word> &words = wordTable();
+    std::uint8_t *p = out;
+    std::uint8_t *const target = out + size;
     std::size_t words_in_sentence = 0;
-    while (out.size() < size) {
+    while (p < target) {
         if (words_in_sentence > 0 && rng.chance(0.12)) {
-            const char *phrase = phrases[rng.below(4)];
-            while (*phrase)
-                out.push_back(static_cast<std::uint8_t>(*phrase++));
+            p = phrases[rng.below(4)].write(p);
             words_in_sentence += 4;
             continue;
         }
         // simlint: allow(zipf-approx): the corpus text generator's word
         // draws seed every committed CSV; the exact sampler would change
         // the corpus bytes and with them every baseline
-        const std::size_t idx = rng.zipfApprox(vocabularySize, 1.0);
-        const char *word = vocabulary[idx];
-        const std::size_t len = std::strlen(word);
-        if (words_in_sentence == 0 && !out.empty())
-            out.push_back(' ');
-        for (std::size_t i = 0; i < len; ++i) {
-            char c = word[i];
-            if (words_in_sentence == 0 && i == 0)
-                c = static_cast<char>(c - 'a' + 'A');
-            out.push_back(static_cast<std::uint8_t>(c));
+        const Word &word = words[rng.zipfApprox(vocabularySize, 1.0)];
+        if (words_in_sentence == 0) {
+            if (p != out)
+                *p++ = ' ';
+            p = word.capital.write(p);
+        } else {
+            p = word.lower.write(p);
         }
         ++words_in_sentence;
         if (words_in_sentence > 6 && rng.chance(0.18)) {
-            out.push_back('.');
-            out.push_back(rng.chance(0.1) ? '\n' : ' ');
+            *p++ = '.';
+            *p++ = rng.chance(0.1) ? '\n' : ' ';
             words_in_sentence = 0;
+        } else if (rng.chance(0.05)) {
+            *p++ = ',';
+            *p++ = ' ';
         } else {
-            out.push_back(rng.chance(0.05) ? ',' : ' ');
-            if (out.back() == ',')
-                out.push_back(' ');
+            *p++ = ' ';
         }
     }
-    out.resize(size);
-    return out;
+    return p;
 }
 
 // ------------------------------------------------------------------- XML
@@ -89,69 +141,85 @@ const char *const xmlTags[] = {"record", "molecule", "atom",  "bond",
                                "item",   "field"};
 constexpr std::size_t xmlTagCount = sizeof(xmlTags) / sizeof(xmlTags[0]);
 
-std::vector<std::uint8_t>
-generateXml(std::size_t size, Rng &rng)
+template <std::size_t N>
+std::uint8_t *
+writeLiteral(std::uint8_t *p, const char (&s)[N])
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(size + 64);
-    auto append = [&out](const char *s) {
-        while (*s)
-            out.push_back(static_cast<std::uint8_t>(*s++));
-    };
-    append("<?xml version=\"1.0\"?>\n<dataset>\n");
-    while (out.size() < size) {
-        const char *tag = xmlTags[rng.below(xmlTagCount)];
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "  <%s id=\"%03llu\" type=\"%c\" unit=\"mol\">"
-                      "%llu.%llu</%s>\n",
-                      tag,
-                      static_cast<unsigned long long>(rng.below(100)),
-                      static_cast<char>('A' + rng.below(3)),
-                      static_cast<unsigned long long>(rng.below(10)),
-                      static_cast<unsigned long long>(rng.below(10)), tag);
-        append(buf);
+    std::memcpy(p, s, N - 1);
+    return p + N - 1;
+}
+
+std::uint8_t *
+writeXml(std::uint8_t *out, std::size_t size, Rng &rng)
+{
+    static const std::vector<Padded<16>> tags(std::begin(xmlTags),
+                                              std::end(xmlTags));
+    std::uint8_t *p = writeLiteral(out, "<?xml version=\"1.0\"?>\n<dataset>\n");
+    std::uint8_t *const target = out + size;
+    while (p < target) {
+        const Padded<16> &tag = tags[rng.below(xmlTagCount)];
+        // The record was once one snprintf whose four rng.below()
+        // arguments GCC evaluated right to left, so the corpus draws the
+        // value's fraction digit first and the id last. The order is
+        // spelled out here to keep the corpus bytes; clang evaluates such
+        // arguments left to right and would have produced another corpus.
+        const auto fraction = rng.below(10);
+        const auto integer = rng.below(10);
+        const auto type = rng.below(3);
+        const auto id = rng.below(100); // printed as %03llu: always 0XY
+        p = writeLiteral(p, "  <");
+        p = tag.write(p);
+        p = writeLiteral(p, " id=\"0");
+        *p++ = static_cast<std::uint8_t>('0' + id / 10);
+        *p++ = static_cast<std::uint8_t>('0' + id % 10);
+        p = writeLiteral(p, "\" type=\"");
+        *p++ = static_cast<std::uint8_t>('A' + type);
+        p = writeLiteral(p, "\" unit=\"mol\">");
+        *p++ = static_cast<std::uint8_t>('0' + integer);
+        *p++ = '.';
+        *p++ = static_cast<std::uint8_t>('0' + fraction);
+        p = writeLiteral(p, "</");
+        p = tag.write(p);
+        p = writeLiteral(p, ">\n");
     }
-    out.resize(size);
-    return out;
+    return p;
 }
 
 // -------------------------------------------------------------- Database
 
-std::vector<std::uint8_t>
-generateDatabase(std::size_t size, Rng &rng)
+std::uint8_t *
+writeDatabase(std::uint8_t *out, std::size_t size, Rng &rng)
 {
     // Fixed 64-byte records: id (8B ascending), low-cardinality category
     // bytes, a few correlated counters and a short fixed-alphabet string —
     // the shape of osdb-like row storage.
-    std::vector<std::uint8_t> out;
-    out.reserve(size + 64);
+    static const char names[4][12] = {"WIDGET-STD ", "WIDGET-PRO ",
+                                      "GADGET-MINI", "GADGET-MAX "};
+    std::uint8_t *p = out;
+    std::uint8_t *const target = out + size;
     std::uint64_t id = 100000;
-    while (out.size() < size) {
-        std::uint8_t rec[64] = {};
-        std::memcpy(rec, &id, sizeof(id));
-        ++id;
-        rec[8] = static_cast<std::uint8_t>(rng.below(8));    // category
-        rec[9] = static_cast<std::uint8_t>(rng.below(4));    // region
-        rec[10] = static_cast<std::uint8_t>(rng.below(2));   // flag
-        const std::uint32_t qty = static_cast<std::uint32_t>(rng.below(500));
-        std::memcpy(rec + 12, &qty, sizeof(qty));
-        const std::uint32_t price = qty * 99 + 1000;
-        std::memcpy(rec + 16, &price, sizeof(price));
-        static const char names[4][12] = {"WIDGET-STD ", "WIDGET-PRO ",
-                                          "GADGET-MINI", "GADGET-MAX "};
-        std::memcpy(rec + 20, names[rng.below(4)], 11);
+    while (p < target) {
         // Trailing padding stays zero (very compressible, like real rows).
-        out.insert(out.end(), rec, rec + sizeof(rec));
+        std::memset(p, 0, 64);
+        std::memcpy(p, &id, sizeof(id));
+        ++id;
+        p[8] = static_cast<std::uint8_t>(rng.below(8));  // category
+        p[9] = static_cast<std::uint8_t>(rng.below(4));  // region
+        p[10] = static_cast<std::uint8_t>(rng.below(2)); // flag
+        const std::uint32_t qty = static_cast<std::uint32_t>(rng.below(500));
+        std::memcpy(p + 12, &qty, sizeof(qty));
+        const std::uint32_t price = qty * 99 + 1000;
+        std::memcpy(p + 16, &price, sizeof(price));
+        std::memcpy(p + 20, names[rng.below(4)], 11);
+        p += 64;
     }
-    out.resize(size);
-    return out;
+    return p;
 }
 
 // ------------------------------------------------------------ Executable
 
-std::vector<std::uint8_t>
-generateExecutable(std::size_t size, Rng &rng)
+std::uint8_t *
+writeExecutable(std::uint8_t *out, std::size_t size, Rng &rng)
 {
     // Instruction-like stream: common opcode bytes with operand bytes of
     // mixed entropy, function prologues repeating every so often, and
@@ -159,87 +227,117 @@ generateExecutable(std::size_t size, Rng &rng)
     // block ratios (~0.65-0.8).
     static const std::uint8_t prologue[] = {0x55, 0x48, 0x89, 0xe5, 0x41,
                                             0x57, 0x41, 0x56, 0x53, 0x50};
-    std::vector<std::uint8_t> out;
-    out.reserve(size + 32);
-    while (out.size() < size) {
+    static const std::uint8_t opcodes[] = {0x48, 0x8b, 0x89, 0xe8,
+                                           0xff, 0x83, 0xc3, 0x74,
+                                           0x75, 0x0f, 0x31, 0x85};
+    std::uint8_t *p = out;
+    std::uint8_t *const target = out + size;
+    while (p < target) {
         const double what = rng.uniform();
         if (what < 0.12) {
-            out.insert(out.end(), prologue, prologue + sizeof(prologue));
+            std::memcpy(p, prologue, sizeof(prologue));
+            p += sizeof(prologue);
         } else if (what < 0.26) {
             // Pointer table: consecutive addresses, high bytes constant.
-            std::uint64_t base = 0x00007f0000400000ULL + rng.below(1u << 20);
-            for (int i = 0; i < 8 && out.size() < size; ++i) {
-                std::uint64_t ptr = base + static_cast<std::uint64_t>(i) * 16;
-                const auto *p = reinterpret_cast<const std::uint8_t *>(&ptr);
-                out.insert(out.end(), p, p + 8);
+            const std::uint64_t base =
+                0x00007f0000400000ULL + rng.below(1u << 20);
+            for (int i = 0; i < 8 && p < target; ++i) {
+                const std::uint64_t ptr =
+                    base + static_cast<std::uint64_t>(i) * 16;
+                std::memcpy(p, &ptr, sizeof(ptr));
+                p += sizeof(ptr);
             }
         } else {
             // A short "instruction": opcode from a small set + operands.
-            static const std::uint8_t opcodes[] = {0x48, 0x8b, 0x89, 0xe8,
-                                                   0xff, 0x83, 0xc3, 0x74,
-                                                   0x75, 0x0f, 0x31, 0x85};
-            out.push_back(opcodes[rng.below(sizeof(opcodes))]);
+            *p++ = opcodes[rng.below(sizeof(opcodes))];
             const unsigned operands = 1 + static_cast<unsigned>(rng.below(4));
             for (unsigned i = 0; i < operands; ++i) {
-                out.push_back(rng.chance(0.5)
-                                  ? static_cast<std::uint8_t>(rng.below(16))
-                                  : static_cast<std::uint8_t>(rng.below(256)));
+                *p++ = rng.chance(0.5)
+                           ? static_cast<std::uint8_t>(rng.below(16))
+                           : static_cast<std::uint8_t>(rng.below(256));
             }
         }
     }
-    out.resize(size);
-    return out;
+    return p;
 }
 
 // ------------------------------------------------------------ Scientific
 
-std::vector<std::uint8_t>
-generateScientific(std::size_t size, Rng &rng)
+std::uint8_t *
+writeScientific(std::uint8_t *out, std::size_t size, Rng &rng)
 {
     // sao-like star-catalogue records: double-precision values whose
     // exponent bytes repeat but whose mantissa bytes are noise; barely
     // compressible (~0.9).
-    std::vector<std::uint8_t> out;
-    out.reserve(size + 32);
+    std::uint8_t *p = out;
+    std::uint8_t *const target = out + size;
     double ra = 0.0;
-    while (out.size() < size) {
+    while (p < target) {
         ra += rng.uniform() * 1e-3;
         const double dec = (rng.uniform() - 0.5) * 3.14159;
         const float mag = static_cast<float>(5.0 + rng.uniform() * 10.0);
         const std::uint32_t cat = static_cast<std::uint32_t>(rng.below(16));
-        const auto *p1 = reinterpret_cast<const std::uint8_t *>(&ra);
-        const auto *p2 = reinterpret_cast<const std::uint8_t *>(&dec);
-        const auto *p3 = reinterpret_cast<const std::uint8_t *>(&mag);
-        const auto *p4 = reinterpret_cast<const std::uint8_t *>(&cat);
-        out.insert(out.end(), p1, p1 + 8);
-        out.insert(out.end(), p2, p2 + 8);
-        out.insert(out.end(), p3, p3 + 4);
-        out.insert(out.end(), p4, p4 + 4);
+        std::memcpy(p, &ra, 8);
+        std::memcpy(p + 8, &dec, 8);
+        std::memcpy(p + 16, &mag, 4);
+        std::memcpy(p + 20, &cat, 4);
+        p += 24;
     }
-    out.resize(size);
-    return out;
+    return p;
 }
 
 // --------------------------------------------------------------- Imaging
 
-std::vector<std::uint8_t>
-generateImaging(std::size_t size, Rng &rng)
+std::uint8_t *
+writeImaging(std::uint8_t *out, std::size_t size, Rng &rng)
 {
     // x-ray-like: 12-bit samples in 16-bit words with heavy sensor noise;
     // nearly incompressible (~0.98+).
-    std::vector<std::uint8_t> out;
-    out.reserve(size + 2);
+    std::uint8_t *p = out;
+    std::uint8_t *const target = out + size;
     std::uint32_t level = 2048;
-    while (out.size() < size) {
+    while (p < target) {
         // Smooth base signal plus wide-band noise.
         level = (level * 15 + 1800 + static_cast<std::uint32_t>(rng.below(500))) / 16;
         const std::uint16_t sample = static_cast<std::uint16_t>(
             (level + rng.below(1024)) & 0x0fff);
-        out.push_back(static_cast<std::uint8_t>(sample & 0xff));
-        out.push_back(static_cast<std::uint8_t>(sample >> 8));
+        *p++ = static_cast<std::uint8_t>(sample & 0xff);
+        *p++ = static_cast<std::uint8_t>(sample >> 8);
     }
-    out.resize(size);
-    return out;
+    return p;
+}
+
+std::uint8_t *
+writeProfile(Profile p, std::uint8_t *out, std::size_t size, Rng &rng)
+{
+    switch (p) {
+      case Profile::Text:
+        return writeText(out, size, rng);
+      case Profile::Xml:
+        return writeXml(out, size, rng);
+      case Profile::Database:
+        return writeDatabase(out, size, rng);
+      case Profile::Executable:
+        return writeExecutable(out, size, rng);
+      case Profile::Scientific:
+        return writeScientific(out, size, rng);
+      case Profile::Imaging:
+        return writeImaging(out, size, rng);
+    }
+    panic("unknown corpus profile");
+}
+
+/** Append exactly @p size bytes of profile @p p to @p out. */
+void
+appendProfile(Profile p, std::size_t size, Rng &rng,
+              std::vector<std::uint8_t> &out)
+{
+    const std::size_t base = out.size();
+    out.resize(base + size + generatorSlack);
+    const std::uint8_t *end = writeProfile(p, out.data() + base, size, rng);
+    SMARTDS_CHECK(end <= out.data() + out.size(),
+                  "%s generator overran its slack", profileName(p));
+    out.resize(base + size);
 }
 
 } // namespace
@@ -277,21 +375,9 @@ profileName(Profile p)
 std::vector<std::uint8_t>
 generate(Profile p, std::size_t size, Rng &rng)
 {
-    switch (p) {
-      case Profile::Text:
-        return generateText(size, rng);
-      case Profile::Xml:
-        return generateXml(size, rng);
-      case Profile::Database:
-        return generateDatabase(size, rng);
-      case Profile::Executable:
-        return generateExecutable(size, rng);
-      case Profile::Scientific:
-        return generateScientific(size, rng);
-      case Profile::Imaging:
-        return generateImaging(size, rng);
-    }
-    panic("unknown corpus profile");
+    std::vector<std::uint8_t> out;
+    appendProfile(p, size, rng, out);
+    return out;
 }
 
 SyntheticCorpus::SyntheticCorpus(std::size_t total_bytes, std::uint64_t seed)
@@ -309,19 +395,17 @@ SyntheticCorpus::SyntheticCorpus(std::size_t total_bytes, std::uint64_t seed)
         {Profile::Scientific, 0.08}, {Profile::Imaging, 0.08},
     };
     Rng rng(seed);
-    data_.reserve(total_bytes);
+    // Every part is written straight into data_; one reservation covers
+    // the slack the last part's generator may overshoot into.
+    data_.reserve(total_bytes + generatorSlack);
     for (const auto &part : parts) {
         const auto n = static_cast<std::size_t>(
             part.weight * static_cast<double>(total_bytes));
-        const auto chunk = generate(part.profile, n, rng);
-        data_.insert(data_.end(), chunk.begin(), chunk.end());
+        appendProfile(part.profile, n, rng, data_);
     }
     // Round up to the requested size with text.
-    if (data_.size() < total_bytes) {
-        const auto chunk = generate(Profile::Text,
-                                    total_bytes - data_.size(), rng);
-        data_.insert(data_.end(), chunk.begin(), chunk.end());
-    }
+    if (data_.size() < total_bytes)
+        appendProfile(Profile::Text, total_bytes - data_.size(), rng, data_);
     data_.resize(total_bytes);
 }
 
@@ -368,10 +452,18 @@ RatioSampler::RatioSampler(const SyntheticCorpus &corpus,
     SMARTDS_CHECK(samples > 0, "need at least one sample");
     Rng rng(seed);
     ratios_.reserve(samples);
+    // A block's ratio depends only on its bytes and the effort, so each
+    // distinct block is compressed once (512 draws over 1,024 blocks hit
+    // about 400). Ratios are in (0, 1]; a negative memo entry is unset.
+    std::vector<double> memo(corpus.blockCount(block_size), -1.0);
+    lz4::Compressor compressor;
     double sum = 0.0;
     for (std::size_t i = 0; i < samples; ++i) {
-        const std::uint8_t *block = corpus.sampleBlockPtr(block_size, rng);
-        const double r = lz4::compressionRatio(block, block_size, effort);
+        const std::size_t index = corpus.sampleBlockIndex(block_size, rng);
+        double &r = memo[index];
+        if (r < 0.0)
+            r = compressor.compressionRatio(
+                corpus.blockPtr(block_size, index), block_size, effort);
         ratios_.push_back(r);
         sum += r;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -133,21 +134,26 @@ class Writer
     bool overflow_ = false;
 };
 
-/** Hash-chain match finder; depth 1 behaves like the classic fast path. */
+/**
+ * Hash-chain match finder over a Compressor's tables; depth 1 behaves
+ * like the classic fast path. Entries store position + @p base, and an
+ * entry below the base belongs to an earlier call and reads as empty.
+ */
 class MatchFinder
 {
   public:
-    MatchFinder(const std::uint8_t *src, std::size_t n, int effort)
-        : src_(src), n_(n)
+    MatchFinder(const std::uint8_t *src, std::size_t n, int effort,
+                std::uint32_t base, std::uint32_t *head, std::uint32_t *prev)
+        : src_(src), n_(n),
+          // Effort widens both the hash table and the chain search.
+          hashBits_(hashBits(effort)),
+          attempts_(1u << (effort - 1)), // 1, 2, 4, ... 256
+          chained_(effort > 1), base_(base), head_(head), prev_(prev)
     {
-        // Effort widens both the hash table and the chain search.
-        hashBits_ = effort <= 1 ? 13 : 15;
-        attempts_ = 1u << (effort - 1); // 1, 2, 4, ... 256
-        head_.assign(1u << hashBits_, empty);
-        if (effort > 1)
-            prev_.assign(n, empty);
-        chained_ = effort > 1;
     }
+
+    /** log2 of the head-table entries used at @p effort. */
+    static unsigned hashBits(int effort) { return effort <= 1 ? 13 : 15; }
 
     /** Record position @p pos in the index. */
     void
@@ -161,10 +167,9 @@ class MatchFinder
     /**
      * Find the best match for @p pos within the offset window, then
      * record @p pos in the index. The four source bytes are loaded and
-     * hashed once and shared between the search and the insertion —
-     * the scan loop previously paid for both separately on every
-     * position. The search runs before the insertion, so results are
-     * identical to find() followed by insert().
+     * hashed once and shared between the search and the insertion. The
+     * search runs before the insertion, so results are identical to a
+     * find followed by insert().
      * @return match length (0 if none) and sets @p match_pos.
      */
     std::size_t
@@ -173,40 +178,46 @@ class MatchFinder
     {
         const std::uint32_t v = read32(src_ + pos);
         const std::uint32_t h = hash32(v, hashBits_);
-        std::uint32_t cand = head_[h];
+        std::uint32_t entry = head_[h];
         std::size_t best_len = 0;
         unsigned tries = attempts_;
-        while (cand != empty && tries-- > 0) {
-            const std::size_t cpos = cand;
-            if (cpos >= pos)
-                break;
+        // Every entry at or above the base was inserted by this call at a
+        // position below pos.
+        while (entry >= base_ && tries-- > 0) {
+            const std::size_t cpos = entry - base_;
             if (pos - cpos > maxOffset)
                 break;
-            if (read32(src_ + cpos) == v) {
+            // A candidate that differs at byte best_len matches for at
+            // most best_len bytes and cannot beat the best so far. Both
+            // reads stay inside the block: best_len never reaches past
+            // limit, which lies lastLiterals bytes before the end.
+            if (src_[cpos + best_len] == src_[pos + best_len] &&
+                read32(src_ + cpos) == v) {
                 const std::size_t len = matchLength(src_ + pos, src_ + cpos,
                                                     limit);
                 if (len >= minMatch && len > best_len) {
                     best_len = len;
                     *match_pos = cpos;
+                    // A match that runs to the limit cannot be beaten.
+                    if (src_ + pos + len == limit)
+                        break;
                 }
             }
             if (!chained_)
                 break;
-            cand = prev_[cpos];
+            entry = prev_[cpos];
         }
         insertHashed(pos, h);
         return best_len;
     }
 
   private:
-    static constexpr std::uint32_t empty = 0xffffffffu;
-
     void
     insertHashed(std::size_t pos, std::uint32_t h)
     {
         if (chained_)
             prev_[pos] = head_[h];
-        head_[h] = static_cast<std::uint32_t>(pos);
+        head_[h] = base_ + static_cast<std::uint32_t>(pos);
     }
 
     const std::uint8_t *src_;
@@ -214,15 +225,16 @@ class MatchFinder
     unsigned hashBits_;
     unsigned attempts_;
     bool chained_;
-    std::vector<std::uint32_t> head_;
-    std::vector<std::uint32_t> prev_;
+    std::uint32_t base_;
+    std::uint32_t *head_;
+    std::uint32_t *prev_;
 };
 
 } // namespace
 
 std::optional<std::size_t>
-compress(const std::uint8_t *src, std::size_t src_size, std::uint8_t *dst,
-         std::size_t dst_cap, int effort)
+Compressor::compress(const std::uint8_t *src, std::size_t src_size,
+                     std::uint8_t *dst, std::size_t dst_cap, int effort)
 {
     SMARTDS_CHECK(effort >= minEffort && effort <= maxEffort,
                    "effort %d out of range", effort);
@@ -243,7 +255,27 @@ compress(const std::uint8_t *src, std::size_t src_size, std::uint8_t *dst,
         return out.size();
     }
 
-    MatchFinder finder(src, src_size, effort);
+    // After a reset the base is 1, so every position must fit below the
+    // largest 32-bit value.
+    SMARTDS_CHECK(src_size < std::numeric_limits<std::uint32_t>::max(),
+                  "block of %zu bytes too large to compress", src_size);
+    const std::size_t head_entries = std::size_t{1}
+                                     << MatchFinder::hashBits(effort);
+    // Grown entries are 0, below every base, so they read as empty.
+    // (Value-initialisation lowers to memset; resize(n, 0) fills the
+    // 128 KiB table with a scalar loop, which dominates a fresh call.)
+    if (head_.size() < head_entries)
+        head_.resize(head_entries);
+    if (effort > 1 && prev_.size() < src_size)
+        prev_.resize(src_size);
+    if (src_size > std::numeric_limits<std::uint32_t>::max() - base_) {
+        std::fill(head_.begin(), head_.end(), 0u);
+        base_ = 1;
+    }
+    MatchFinder finder(src, src_size, effort, base_, head_.data(),
+                       prev_.data());
+    // The next call's base lies past every entry this call writes.
+    base_ += static_cast<std::uint32_t>(src_size);
     const std::uint8_t *const match_limit = src + src_size - lastLiterals;
     const std::size_t last_match_start = src_size - mfLimit;
 
@@ -284,6 +316,41 @@ compress(const std::uint8_t *src, std::size_t src_size, std::uint8_t *dst,
     if (out.overflowed())
         return std::nullopt;
     return out.size();
+}
+
+double
+Compressor::compressionRatio(const std::uint8_t *src, std::size_t src_size,
+                             int effort)
+{
+    if (src_size == 0)
+        return 1.0;
+    const std::size_t cap = maxCompressedSize(src_size);
+    if (out_.size() < cap)
+        out_.resize(cap);
+    const auto n = compress(src, src_size, out_.data(), cap, effort);
+    SMARTDS_CHECK(n.has_value(), "maxCompressedSize() was insufficient");
+    const double ratio =
+        static_cast<double>(*n) / static_cast<double>(src_size);
+    // Stored blocks can expand slightly; the storage layer would keep the
+    // raw block instead, so the effective ratio is capped at 1.
+    return std::min(ratio, 1.0);
+}
+
+void
+Compressor::setBaseForTesting(std::uint32_t base)
+{
+    // Moving the base back would revive entries of earlier calls.
+    SMARTDS_CHECK(base >= base_, "base may only move forward (%u < %u)",
+                  base, base_);
+    base_ = base;
+}
+
+std::optional<std::size_t>
+compress(const std::uint8_t *src, std::size_t src_size, std::uint8_t *dst,
+         std::size_t dst_cap, int effort)
+{
+    Compressor context;
+    return context.compress(src, src_size, dst, dst_cap, effort);
 }
 
 std::optional<std::size_t>
@@ -391,16 +458,8 @@ decompress(const std::vector<std::uint8_t> &src, std::size_t decompressed_size)
 double
 compressionRatio(const std::uint8_t *src, std::size_t src_size, int effort)
 {
-    if (src_size == 0)
-        return 1.0;
-    std::vector<std::uint8_t> out(maxCompressedSize(src_size));
-    const auto n = compress(src, src_size, out.data(), out.size(), effort);
-    SMARTDS_CHECK(n.has_value(), "maxCompressedSize() was insufficient");
-    const double ratio =
-        static_cast<double>(*n) / static_cast<double>(src_size);
-    // Stored blocks can expand slightly; the storage layer would keep the
-    // raw block instead, so the effective ratio is capped at 1.
-    return std::min(ratio, 1.0);
+    Compressor context;
+    return context.compressionRatio(src, src_size, effort);
 }
 
 double

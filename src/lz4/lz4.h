@@ -94,6 +94,49 @@ double compressionRatio(const std::uint8_t *src, std::size_t src_size,
                         int effort = 1);
 
 /**
+ * A reusable compression context: the match finder's tables, kept across
+ * calls like LZ4's extState, so compressing many blocks pays for the
+ * tables once instead of allocating and filling them per block. Output is
+ * byte-identical to the free compress() for every input and effort.
+ *
+ * A head-table entry holds a position plus a per-call base; the base
+ * moves past every position of the previous call, so entries below the
+ * current base read as empty and a call never refills the table. Only
+ * when the base would overflow 32 bits is the table cleared. The chain
+ * table grows to the largest input seen and needs no fill: a call reads
+ * only the links it wrote itself.
+ *
+ * Not thread-safe; hold one per thread, for the length of a loop.
+ */
+class Compressor
+{
+  public:
+    /** As the free compress(). */
+    [[nodiscard]] std::optional<std::size_t>
+    compress(const std::uint8_t *src, std::size_t src_size, std::uint8_t *dst,
+             std::size_t dst_cap, int effort = 1);
+
+    /** As the free compressionRatio(), with a reused output buffer. */
+    double compressionRatio(const std::uint8_t *src, std::size_t src_size,
+                            int effort = 1);
+
+    /** Base of the next call (for tests). */
+    std::uint32_t base() const { return base_; }
+
+    /**
+     * Test seam: pretend earlier calls have advanced the base to
+     * @p base (>= 1), to drive the overflow reset with small inputs.
+     */
+    void setBaseForTesting(std::uint32_t base);
+
+  private:
+    std::vector<std::uint32_t> head_;
+    std::vector<std::uint32_t> prev_;
+    std::vector<std::uint8_t> out_;
+    std::uint32_t base_ = 1;
+};
+
+/**
  * Relative software throughput of @p effort compared to effort 1
  * (e.g. 0.5 means half the speed). Derived from the match-search depth;
  * the timing model multiplies the calibrated effort-1 rate by this.

@@ -147,13 +147,10 @@ FairShareResource::update()
 void
 FairShareResource::reallocate()
 {
-    struct Cand
-    {
-        Flow *flow;
-        double limit;
-    };
-    std::vector<Cand> cands;
-    cands.reserve(flows_.size());
+    // reallocate() runs on every flow change; reusing the member vector
+    // keeps it from allocating per call.
+    std::vector<Cand> &cands = cands_;
+    cands.clear();
     double sum_weight = 0.0;
     for (auto &flow : flows_) {
         flow->rate_ = 0.0;

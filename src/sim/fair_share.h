@@ -136,6 +136,15 @@ class FairShareResource
     Tick lastUpdate_ = 0;
     EventHandle next_;
     std::vector<std::unique_ptr<Flow>> flows_;
+
+    /** A flow still owed capacity during water-filling. */
+    struct Cand
+    {
+        Flow *flow;
+        double limit;
+    };
+    /** reallocate()'s candidate list, kept to reuse its capacity. */
+    std::vector<Cand> cands_;
 };
 
 } // namespace smartds::sim

@@ -10,6 +10,7 @@
 #include <set>
 #include <string>
 
+#include "common/checksum.h"
 #include "common/random.h"
 #include "corpus/corpus.h"
 #include "lz4/lz4.h"
@@ -136,6 +137,62 @@ TEST(Corpus, HigherEffortImprovesStructuredRatio)
     const double fast = profileRatio(Profile::Xml, 1);
     const double hard = profileRatio(Profile::Xml, 9);
     EXPECT_LE(hard, fast + 1e-9);
+}
+
+// ---------------------------------------------------------------------
+// Cross-build pins. The corpus and the ratio distribution drawn from it
+// feed every simulated result; a change to a generator, its draw order or
+// the codec shows up here first, with the moved value.
+// ---------------------------------------------------------------------
+
+TEST(Corpus, SyntheticCorpusDigestsArePinned)
+{
+    struct Pin
+    {
+        std::uint64_t seed;
+        std::size_t mib;
+        std::uint32_t digest;
+    };
+    const Pin pins[] = {
+        {42, 1, 0xe8e62c60u}, {42, 3, 0x1b6a8450u}, {42, 4, 0x39bd8b47u},
+        {42, 8, 0x9e03a54eu}, {7, 1, 0xbc2e824bu},  {7, 3, 0xa42880c8u},
+        {7, 4, 0xf531b7beu},  {7, 8, 0xdcd69c4eu},
+    };
+    for (const Pin &pin : pins) {
+        const SyntheticCorpus corpus(pin.mib << 20, pin.seed);
+        EXPECT_EQ(corpus.size(), pin.mib << 20);
+        EXPECT_EQ(xxhash32(corpus.bytes()), pin.digest)
+            << "seed " << pin.seed << ", " << pin.mib << " MiB";
+    }
+}
+
+TEST(Corpus, RatioSamplerMeansArePinned)
+{
+    // The timing-mode sampler of every experiment: 512 draws (seed 7)
+    // over the 4 MiB corpus of seed 42, one mean per effort.
+    const double means[] = {
+        0.54531574249267578, 0.5250544548034668,  0.51757717132568359,
+        0.51313972473144531, 0.51042842864990234, 0.50879240036010742,
+        0.50820398330688477, 0.50815534591674805, 0.50812864303588867,
+    };
+    const SyntheticCorpus corpus(4u << 20, 42);
+    for (int effort = lz4::minEffort; effort <= lz4::maxEffort; ++effort) {
+        const RatioSampler sampler(corpus, 4096, effort, 512, 7);
+        EXPECT_EQ(sampler.size(), 512u);
+        EXPECT_EQ(sampler.mean(), means[effort - 1]) << "effort " << effort;
+    }
+}
+
+TEST(Corpus, GenerateMatchesTheCorpusPartItWrites)
+{
+    // generate() and the corpus share one in-place writer: the corpus's
+    // first part is the text generator's output for the same stream.
+    const SyntheticCorpus corpus(1u << 20, 42);
+    Rng rng(42);
+    const auto n = static_cast<std::size_t>(0.34 * (1u << 20));
+    const auto text = generate(Profile::Text, n, rng);
+    ASSERT_EQ(text.size(), n);
+    EXPECT_EQ(0, std::memcmp(text.data(), corpus.bytes().data(), n));
 }
 
 TEST(Corpus, ProfileNamesAreUnique)

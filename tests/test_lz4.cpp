@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <tuple>
 
+#include "common/checksum.h"
 #include "common/random.h"
 #include "corpus/corpus.h"
 #include "lz4/lz4.h"
@@ -272,6 +274,135 @@ TEST(Lz4, CompressionRatioCappedAtOne)
     for (auto &b : noise)
         b = static_cast<std::uint8_t>(rng.below(256));
     EXPECT_LE(compressionRatio(noise.data(), noise.size(), 1), 1.0);
+}
+
+// ---------------------------------------------------------------------
+// Reusable compression context.
+// ---------------------------------------------------------------------
+
+/** Compress with a fresh context, as the free function does. */
+std::vector<std::uint8_t>
+freshCompress(const std::uint8_t *src, std::size_t n, int effort)
+{
+    std::vector<std::uint8_t> out(maxCompressedSize(n));
+    const auto len = compress(src, n, out.data(), out.size(), effort);
+    EXPECT_TRUE(len.has_value());
+    out.resize(len.value_or(0));
+    return out;
+}
+
+std::vector<std::uint8_t>
+contextCompress(Compressor &context, const std::uint8_t *src, std::size_t n,
+                int effort)
+{
+    std::vector<std::uint8_t> out(maxCompressedSize(n));
+    const auto len = context.compress(src, n, out.data(), out.size(), effort);
+    EXPECT_TRUE(len.has_value());
+    out.resize(len.value_or(0));
+    return out;
+}
+
+TEST(Lz4Compressor, ReusedContextMatchesFreshAcrossSizesAndEfforts)
+{
+    // Sizes straddle the literal-only cut-off (12 / 13), the 4 KiB block
+    // and the 64 KiB window, up to an input longer than maxOffset; each
+    // call leaves entries behind that the next must ignore.
+    const corpus::SyntheticCorpus corpus(1u << 20, 42);
+    const std::size_t sizes[] = {0, 12, 13, 4096, 65536, 200000};
+    Compressor context;
+    std::size_t offset = 0;
+    for (int round = 0; round < 2; ++round) {
+        for (int effort = minEffort; effort <= maxEffort; ++effort) {
+            for (const std::size_t n : sizes) {
+                const std::uint8_t *src = corpus.bytes().data() + offset;
+                offset = (offset + 4099) % (corpus.size() - 200000);
+                EXPECT_EQ(contextCompress(context, src, n, effort),
+                          freshCompress(src, n, effort))
+                    << "size " << n << ", effort " << effort;
+                EXPECT_EQ(context.compressionRatio(src, n, effort),
+                          compressionRatio(src, n, effort));
+            }
+        }
+    }
+}
+
+TEST(Lz4Compressor, BaseOverflowResetKeepsTheBytes)
+{
+    const corpus::SyntheticCorpus corpus(1u << 20, 7);
+    for (const int effort : {1, 8}) {
+        Compressor context;
+        // Warm the tables, then jump the base to a few blocks short of
+        // the 32-bit limit; the entries left behind now lie below it.
+        (void)contextCompress(context, corpus.bytes().data(), 65536, effort);
+        context.setBaseForTesting(std::numeric_limits<std::uint32_t>::max() -
+                                  3 * 4096);
+        bool wrapped = false;
+        for (std::size_t b = 0; b < 8; ++b) {
+            const std::uint8_t *src = corpus.bytes().data() + b * 4096;
+            const std::uint32_t before = context.base();
+            EXPECT_EQ(contextCompress(context, src, 4096, effort),
+                      freshCompress(src, 4096, effort))
+                << "block " << b << ", effort " << effort;
+            if (context.base() < before)
+                wrapped = true;
+        }
+        EXPECT_TRUE(wrapped) << "the base never reset";
+        EXPECT_LT(context.base(), 8u * 4096 + 2);
+    }
+}
+
+TEST(Lz4CompressorDeathTest, BaseMayOnlyMoveForward)
+{
+    Compressor context;
+    context.setBaseForTesting(1000);
+    EXPECT_DEATH(context.setBaseForTesting(999), "only move forward");
+}
+
+/**
+ * Every block of the 8 MiB functional corpus (seed 42) compressed at one
+ * block size and effort, concatenated: its size and xxHash32.
+ */
+struct CorpusPin
+{
+    std::size_t block;
+    int effort;
+    std::size_t bytes;
+    std::uint32_t digest;
+};
+
+TEST(Lz4, CorpusCompressionDigestsArePinned)
+{
+    const CorpusPin pins[] = {
+        {4096, 1, 4603408, 0xb2db923au},   {4096, 2, 4414927, 0x7028e0e1u},
+        {4096, 3, 4351359, 0x0583de4bu},   {4096, 4, 4314220, 0xb13e77c2u},
+        {4096, 5, 4291902, 0xb29ace18u},   {4096, 6, 4278506, 0xcb60cafbu},
+        {4096, 7, 4273007, 0x89333b70u},   {4096, 8, 4272630, 0x43b88d82u},
+        {4096, 9, 4272472, 0x8d0ad344u},   {65536, 1, 4241405, 0x6da3334fu},
+        {65536, 2, 4004122, 0xf79928adu},  {65536, 3, 3890609, 0x6b20aebfu},
+        {65536, 4, 3802604, 0x13c13ae4u},  {65536, 5, 3733805, 0xc8e2f1a8u},
+        {65536, 6, 3679701, 0x00a89a1bu},  {65536, 7, 3644611, 0x30d5fb0au},
+        {65536, 8, 3625158, 0xe1240afcu},  {65536, 9, 3617945, 0x1e79f194u},
+    };
+    const corpus::SyntheticCorpus corpus(8u << 20, 42);
+    for (const CorpusPin &pin : pins) {
+        // One context per pin, reused over the blocks, as the codec
+        // cache builds; the reuse test above ties it to the free function.
+        Compressor context;
+        std::vector<std::uint8_t> all;
+        std::vector<std::uint8_t> out(maxCompressedSize(pin.block));
+        for (std::size_t i = 0; i < corpus.blockCount(pin.block); ++i) {
+            const auto n = context.compress(corpus.blockPtr(pin.block, i),
+                                            pin.block, out.data(), out.size(),
+                                            pin.effort);
+            ASSERT_TRUE(n.has_value());
+            all.insert(all.end(), out.begin(),
+                       out.begin() + static_cast<std::ptrdiff_t>(*n));
+        }
+        EXPECT_EQ(all.size(), pin.bytes)
+            << pin.block << " B blocks, effort " << pin.effort;
+        EXPECT_EQ(xxhash32(all), pin.digest)
+            << pin.block << " B blocks, effort " << pin.effort;
+    }
 }
 
 // ---------------------------------------------------------------------
