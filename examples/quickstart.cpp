@@ -98,8 +98,7 @@ issueWrites(sim::Simulator &sim, net::Port *vm_port,
     using namespace smartds::time_literals;
     Rng rng(7);
     for (std::uint64_t tag = 1; tag <= kRequests; ++tag) {
-        auto block = std::make_shared<const std::vector<std::uint8_t>>(
-            corpus->sampleBlock(4096, rng));
+        const SharedBytes block = shareBytes(corpus->sampleBlock(4096, rng));
 
         StorageHeader header;
         header.vmId = vm_port->id();

@@ -129,7 +129,8 @@ main()
     sim::Completion all_reads_done(sim);
     vm->onReceive([&](net::Message msg) {
         if (msg.kind == net::MessageKind::ReadReply && msg.payload.data) {
-            returned[msg.tag] = *msg.payload.data;
+            returned[msg.tag].assign(msg.payload.data->begin(),
+                                     msg.payload.data->end());
             if (returned.size() == kBlocks)
                 all_reads_done.complete(0);
         }
@@ -160,8 +161,7 @@ main()
             msg.headerData = header.encodeShared();
             msg.tag = tag;
             msg.payload.size = 4096;
-            msg.payload.data =
-                std::make_shared<const std::vector<std::uint8_t>>(block);
+            msg.payload.data = shareBytes(std::move(block));
             vm->send(msg);
             co_await sim::delay(sim, 30_us);
         }

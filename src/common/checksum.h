@@ -13,7 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace smartds {
 
@@ -21,9 +21,9 @@ namespace smartds {
 std::uint32_t xxhash32(const std::uint8_t *data, std::size_t size,
                        std::uint32_t seed = 0);
 
-/** Convenience overload. */
+/** Convenience overload (vectors and shared byte views convert). */
 inline std::uint32_t
-xxhash32(const std::vector<std::uint8_t> &data, std::uint32_t seed = 0)
+xxhash32(std::span<const std::uint8_t> data, std::uint32_t seed = 0)
 {
     return xxhash32(data.data(), data.size(), seed);
 }

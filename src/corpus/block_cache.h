@@ -21,8 +21,14 @@
  *
  * The same holds one level down for erasure coding: stripes(k, m) memoizes
  * the RS(k, m) shards of every block's compressed form, so an EC write of
- * a corpus block hands out aliases of k + m memo buffers instead of
+ * a corpus block hands out aliases of k + m memo views instead of
  * encoding, hashing and storing fresh copies.
+ *
+ * Storage is a few arenas, not a buffer per block: the plain blocks are
+ * views of the corpus buffer itself, the compressed blocks are slots of
+ * one arena, and a stripe memo keeps only its parity (its data shards are
+ * views of the compressed slots). Each view is a SharedBytes that shares
+ * ownership of its arena, so handing bytes to a payload copies nothing.
  */
 
 #ifndef SMARTDS_CORPUS_BLOCK_CACHE_H_
@@ -35,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/shared_bytes.h"
 #include "corpus/corpus.h"
 
 namespace smartds::corpus {
@@ -44,14 +51,19 @@ class BlockCodecCache;
 /**
  * The RS(k, m) stripe of every block's compressed form: for each block
  * the k + m shards of ec::RsCodec(k, m).encode(compressed) and their
- * xxHash32 checksums. Shards alias table-owned storage exactly like the
- * cache's plain and compressed buffers, so a stored shard is a refcount
- * bump and outlives the table.
+ * xxHash32 checksums. The code is systematic, so data shard j is bytes
+ * [j * shard, (j + 1) * shard) of the zero-padded stripe: its view points
+ * straight into the cache's compressed arena, whose slots carry
+ * BlockCodecCache::slotSlack zero bytes for the pad. Only the parity
+ * shards, and a data shard whose pad does not fit that slack, have bytes
+ * in the table's own arena. Every shard is an aliasing SharedBytes, so a
+ * stored shard is a refcount bump and keeps both arenas alive past the
+ * table and the cache.
  */
 class StripeTable
 {
   public:
-    using Shard = std::shared_ptr<const std::vector<std::uint8_t>>;
+    using Shard = SharedBytes;
 
     StripeTable(const BlockCodecCache &cache, unsigned k, unsigned m);
 
@@ -60,40 +72,55 @@ class StripeTable
     unsigned n() const { return k_ + m_; }
 
     /** Shard @p s (0..n-1) of block @p block_index (0-based). */
-    const Shard &shard(std::size_t block_index, unsigned s) const;
+    Shard shard(std::size_t block_index, unsigned s) const;
     /** xxHash32 of shard(@p block_index, @p s). */
     std::uint32_t checksum(std::size_t block_index, unsigned s) const;
 
     /**
      * Shard @p s of @p block_id (1-based, as Payload::blockId) when
-     * @p data/@p size are provably its bytes: the memo's own buffer, or
+     * @p data/@p size are provably its bytes: the memo's own view, or
      * equal size and xxHash32 (the corruption guard of BlockCodecCache).
      * Null otherwise.
      */
-    const Shard *lookupShard(std::uint32_t block_id, unsigned s,
-                             const std::uint8_t *data, std::size_t size) const;
+    Shard lookupShard(std::uint32_t block_id, unsigned s,
+                      const std::uint8_t *data, std::size_t size) const;
 
   private:
+    /** Shared owner of every shard view. */
+    struct Arena
+    {
+        /** Keeps the cache's compressed arena (data-shard bytes) alive. */
+        std::shared_ptr<const void> compressed;
+        std::vector<std::uint8_t> bytes;
+        /** Block-major, n() views per block. */
+        std::vector<ByteView> views;
+    };
+
     std::size_t index(std::size_t block_index, unsigned s) const;
 
     unsigned k_;
     unsigned m_;
-    // Block-major, n() entries per block; shards_ alias into storage_.
-    std::shared_ptr<std::vector<std::vector<std::uint8_t>>> storage_;
-    std::vector<Shard> shards_;
+    std::shared_ptr<const Arena> arena_;
     std::vector<std::uint32_t> checksums_;
 };
 
 class BlockCodecCache
 {
   public:
+    /**
+     * Zero bytes after each compressed slot, so the padded last data
+     * shard of a systematic RS(k, m) stripe, whose pad is at most k - 1
+     * bytes, lies inside the arena for every k <= slotSlack + 1.
+     */
+    static constexpr std::size_t slotSlack = 16;
+
     /** Everything the codec could tell you about one corpus block. */
     struct Entry
     {
-        /** The plain block bytes (aliases cache-owned storage). */
-        std::shared_ptr<const std::vector<std::uint8_t>> plain;
-        /** LZ4-compressed bytes at the cache's effort (aliased likewise). */
-        std::shared_ptr<const std::vector<std::uint8_t>> compressed;
+        /** The plain block bytes (a view of the cache's corpus arena). */
+        SharedBytes plain;
+        /** LZ4-compressed bytes at the cache's effort (a compressed slot). */
+        SharedBytes compressed;
         /** compressed/plain size capped at 1.0 — lz4::compressionRatio(). */
         double ratio = 1.0;
         std::uint32_t plainChecksum = 0;
@@ -102,15 +129,26 @@ class BlockCodecCache
 
     /**
      * Compress and checksum every whole @p block_bytes block of @p corpus
-     * at @p effort. Deterministic: depends only on the corpus bytes,
-     * block size, and effort.
+     * at @p effort, adopting the corpus buffer as the plain arena.
+     * Deterministic: depends only on the corpus bytes, block size, and
+     * effort.
      */
+    BlockCodecCache(SyntheticCorpus &&corpus, std::size_t block_bytes,
+                    int effort);
+
+    /** As above, from a copy of @p corpus's buffer. */
     BlockCodecCache(const SyntheticCorpus &corpus, std::size_t block_bytes,
                     int effort);
 
     std::size_t blocks() const { return entries_.size(); }
     std::size_t blockBytes() const { return block_bytes_; }
     int effort() const { return effort_; }
+
+    /**
+     * Mean of every entry's ratio: the expected compression ratio of a
+     * block drawn uniformly, as the workload clients draw them.
+     */
+    double meanRatio() const { return mean_ratio_; }
 
     /** Direct access by block index (0-based, < blocks()). */
     const Entry &entry(std::size_t block_index) const;
@@ -136,17 +174,27 @@ class BlockCodecCache
     const StripeTable &stripes(unsigned k, unsigned m) const;
 
   private:
+    /**
+     * Shared owner of every view the cache hands out. Both buffers are
+     * filled before the first view is taken and never resized after, so
+     * a view stays valid for as long as any shared_ptr to it lives.
+     */
+    struct Arena
+    {
+        /** The corpus buffer; block i at i * blockBytes(). */
+        std::vector<std::uint8_t> plain;
+        std::vector<std::uint8_t> compressed;
+        std::vector<ByteView> plainViews;
+        std::vector<ByteView> compressedViews;
+    };
+
     const Entry *guarded(std::uint32_t block_id, const std::uint8_t *data,
                          std::size_t size, bool compressed) const;
 
     std::size_t block_bytes_;
     int effort_;
-    // Blocks are materialised once into cache-owned vectors; Entry
-    // pointers alias into these via the shared_ptr aliasing constructor,
-    // so handing a block to a payload is a refcount bump, never a copy,
-    // and the storage outlives the cache if payloads still reference it.
-    std::shared_ptr<std::vector<std::vector<std::uint8_t>>> plain_storage_;
-    std::shared_ptr<std::vector<std::vector<std::uint8_t>>> compressed_storage_;
+    double mean_ratio_ = 1.0;
+    std::shared_ptr<const Arena> arena_;
     std::vector<Entry> entries_;
     mutable std::mutex stripes_mutex_;
     mutable std::map<std::pair<unsigned, unsigned>,
@@ -166,9 +214,9 @@ const BlockCodecCache &sharedBlockCache(const SyntheticCorpus &corpus,
 /**
  * The same registry, keyed by the corpus's identity instead of a live
  * corpus: on a miss it synthesises SyntheticCorpus(@p corpus_bytes,
- * @p corpus_seed), builds the table from it and drops the corpus again.
- * The cache holds its own copy of every block, so a caller that needs
- * only the cache keeps one resident copy of the corpus, not two.
+ * @p corpus_seed) and builds the table from it. The cache adopts the
+ * corpus buffer as its plain arena, so the corpus is resident once and
+ * never copied.
  */
 const BlockCodecCache &sharedBlockCache(std::size_t corpus_bytes,
                                         std::uint64_t corpus_seed,

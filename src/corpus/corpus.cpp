@@ -476,4 +476,19 @@ RatioSampler::sample(Rng &rng) const
     return ratios_[rng.below(ratios_.size())];
 }
 
+double
+meanBlockRatio(const SyntheticCorpus &corpus, std::size_t block_size,
+               int effort)
+{
+    const std::size_t blocks = corpus.blockCount(block_size);
+    if (blocks == 0)
+        return 1.0;
+    lz4::Compressor compressor;
+    double sum = 0.0;
+    for (std::size_t i = 0; i < blocks; ++i)
+        sum += compressor.compressionRatio(corpus.blockPtr(block_size, i),
+                                           block_size, effort);
+    return sum / static_cast<double>(blocks);
+}
+
 } // namespace smartds::corpus

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -99,6 +100,9 @@ class SyntheticCorpus
     /** Seed the corpus was synthesised from (cache-registry key part). */
     std::uint64_t seed() const { return seed_; }
 
+    /** Hand the corpus buffer to a new owner, leaving this corpus empty. */
+    std::vector<std::uint8_t> takeBytes() && { return std::move(data_); }
+
   private:
     std::vector<std::uint8_t> data_;
     std::uint64_t seed_;
@@ -132,6 +136,15 @@ class RatioSampler
     std::vector<double> ratios_;
     double mean_;
 };
+
+/**
+ * Mean compression ratio of every whole @p block_size block of @p corpus
+ * at @p effort, summed in block order: the expected ratio of a uniformly
+ * drawn block, as functional clients draw them. Bit-identical to
+ * BlockCodecCache::meanRatio() for the same corpus, block size and effort.
+ */
+double meanBlockRatio(const SyntheticCorpus &corpus, std::size_t block_size,
+                      int effort);
 
 } // namespace smartds::corpus
 

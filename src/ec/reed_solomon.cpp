@@ -57,31 +57,90 @@ RsCodec::encode(const std::uint8_t *stripe, std::size_t stripe_bytes) const
     return out;
 }
 
+void
+RsCodec::encodeParity(std::span<const std::span<const std::uint8_t>> data,
+                      std::span<const std::span<std::uint8_t>> parity) const
+{
+    SMARTDS_CHECK(data.size() == k_ && parity.size() == m_,
+                  "RS(%u, %u) parity of %zu data into %zu parity shards", k_,
+                  m_, data.size(), parity.size());
+    const std::size_t shard = data.front().size();
+    for (const auto &d : data)
+        SMARTDS_CHECK(d.size() == shard, "RS data shards of unequal size");
+    for (unsigned p = 0; p < m_; ++p) {
+        SMARTDS_CHECK(parity[p].size() >= shard, "parity shard too small");
+        std::uint8_t *par = parity[p].data();
+        std::memset(par, 0, shard);
+        for (unsigned j = 0; j < k_; ++j)
+            gfMulAdd(par, data[j].data(),
+                     parity_[static_cast<std::size_t>(p) * k_ + j], shard);
+    }
+}
+
+namespace {
+
+/** A listed shard's bytes, or nullopt when the list marks it absent. */
+std::optional<std::span<const std::uint8_t>>
+listed(const std::vector<std::uint8_t> *bytes)
+{
+    if (bytes == nullptr)
+        return std::nullopt;
+    return std::span<const std::uint8_t>(*bytes);
+}
+
+std::optional<std::span<const std::uint8_t>>
+listed(std::span<const std::uint8_t> bytes)
+{
+    if (bytes.data() == nullptr)
+        return std::nullopt;
+    return bytes;
+}
+
+} // namespace
+
+std::optional<std::vector<std::uint8_t>>
+RsCodec::decode(
+    const std::vector<std::pair<unsigned, std::span<const std::uint8_t>>>
+        &shards,
+    std::size_t stripe_bytes) const
+{
+    return decodeShards(shards, stripe_bytes);
+}
+
 std::optional<std::vector<std::uint8_t>>
 RsCodec::decode(
     const std::vector<std::pair<unsigned, const std::vector<std::uint8_t> *>>
         &shards,
     std::size_t stripe_bytes) const
 {
+    return decodeShards(shards, stripe_bytes);
+}
+
+template <typename Bytes>
+std::optional<std::vector<std::uint8_t>>
+RsCodec::decodeShards(const std::vector<std::pair<unsigned, Bytes>> &shards,
+                      std::size_t stripe_bytes) const
+{
     // Pick the first k distinct, in-range shards, preferring the order
     // given (callers list healthy shards first).
     std::vector<unsigned> rows;
-    std::vector<const std::vector<std::uint8_t> *> data;
+    std::vector<std::span<const std::uint8_t>> data;
     for (const auto &[idx, bytes] : shards) {
-        if (idx >= n() || bytes == nullptr)
+        const auto view = listed(bytes);
+        if (idx >= n() || !view)
             continue;
         if (std::find(rows.begin(), rows.end(), idx) != rows.end())
             continue;
         rows.push_back(idx);
-        data.push_back(bytes);
+        data.push_back(*view);
         if (rows.size() == k_)
             break;
     }
     if (rows.size() < k_)
         return std::nullopt;
     const std::size_t shard = shardSize(stripe_bytes, k_);
-    for (const auto *bytes : data)
-        if (bytes->size() != shard)
+    for (const auto &bytes : data)
+        if (bytes.size() != shard)
             return std::nullopt;
 
     // Fast path: all k data shards present — the stripe is a concat.
@@ -145,11 +204,11 @@ RsCodec::decode(
         std::uint8_t *dst = stripe.data() + static_cast<std::size_t>(j) * shard;
         if (systematic) {
             const auto it = std::find(rows.begin(), rows.end(), j);
-            std::memcpy(dst, data[it - rows.begin()]->data(), shard);
+            std::memcpy(dst, data[it - rows.begin()].data(), shard);
             continue;
         }
         for (unsigned r = 0; r < k_; ++r)
-            gfMulAdd(dst, data[r]->data(),
+            gfMulAdd(dst, data[r].data(),
                      inv[static_cast<std::size_t>(j) * k_ + r], shard);
     }
     stripe.resize(stripe_bytes);

@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -55,11 +56,27 @@ public:
     encode(const std::uint8_t *stripe, std::size_t stripe_bytes) const;
 
     /**
+     * The m parity shards of @p data, k data shards of one size: parity
+     * shard p is written to @p parity[p], which must be as large. Lets a
+     * caller that already holds the data shards (or views of them) keep
+     * them where they are; the parity equals encode()'s.
+     */
+    void encodeParity(std::span<const std::span<const std::uint8_t>> data,
+                      std::span<const std::span<std::uint8_t>> parity) const;
+
+    /**
      * Reconstruct the original stripe from any >= k shards, given as
      * (shard index, bytes) pairs with equal sizes. Returns the first
      * @p stripe_bytes bytes (padding stripped), or nullopt if fewer
-     * than k distinct valid shards were supplied.
+     * than k distinct valid shards were supplied. A pair with a null
+     * view counts as absent.
      */
+    [[nodiscard]] std::optional<std::vector<std::uint8_t>>
+    decode(const std::vector<std::pair<unsigned, std::span<const std::uint8_t>>>
+               &shards,
+           std::size_t stripe_bytes) const;
+
+    /** As above, with shards given as vectors (null = absent). */
     [[nodiscard]] std::optional<std::vector<std::uint8_t>>
     decode(const std::vector<
                std::pair<unsigned, const std::vector<std::uint8_t> *>> &shards,
@@ -73,6 +90,12 @@ public:
     [[nodiscard]] std::uint8_t coefficient(unsigned row, unsigned col) const;
 
 private:
+    /** decode() over either form of shard list. */
+    template <typename Bytes>
+    [[nodiscard]] std::optional<std::vector<std::uint8_t>>
+    decodeShards(const std::vector<std::pair<unsigned, Bytes>> &shards,
+                 std::size_t stripe_bytes) const;
+
     unsigned k_;
     unsigned m_;
     std::vector<std::uint8_t> parity_; // m x k Cauchy block, row-major

@@ -434,7 +434,7 @@ decompress(const std::uint8_t *src, std::size_t src_size, std::uint8_t *dst,
 }
 
 std::vector<std::uint8_t>
-compress(const std::vector<std::uint8_t> &src, int effort)
+compress(std::span<const std::uint8_t> src, int effort)
 {
     std::vector<std::uint8_t> out(maxCompressedSize(src.size()));
     const auto n = compress(src.data(), src.size(), out.data(), out.size(),
@@ -445,7 +445,7 @@ compress(const std::vector<std::uint8_t> &src, int effort)
 }
 
 std::optional<std::vector<std::uint8_t>>
-decompress(const std::vector<std::uint8_t> &src, std::size_t decompressed_size)
+decompress(std::span<const std::uint8_t> src, std::size_t decompressed_size)
 {
     std::vector<std::uint8_t> out(decompressed_size);
     const auto n = decompress(src.data(), src.size(), out.data(), out.size());

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace smartds::lz4 {
@@ -77,13 +78,13 @@ maxCompressedSize(std::size_t src_size)
                                       std::uint8_t *dst,
                                       std::size_t dst_cap);
 
-/** Convenience: compress a vector, returning the compressed bytes. */
-std::vector<std::uint8_t> compress(const std::vector<std::uint8_t> &src,
+/** Convenience: compress a byte range, returning the compressed bytes. */
+std::vector<std::uint8_t> compress(std::span<const std::uint8_t> src,
                                    int effort = 1);
 
-/** Convenience: decompress a vector given the known decompressed size. */
+/** Convenience: decompress a byte range given the decompressed size. */
 [[nodiscard]] std::optional<std::vector<std::uint8_t>>
-decompress(const std::vector<std::uint8_t> &src, std::size_t decompressed_size);
+decompress(std::span<const std::uint8_t> src, std::size_t decompressed_size);
 
 /**
  * Compressed-size / original-size for @p src at @p effort (1.0 when the

@@ -26,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/shared_bytes.h"
 #include "common/units.h"
 
 namespace smartds::middletier {
@@ -64,7 +65,7 @@ class HotBlockCache
         /** Compression ratio of the stored copy (timing-mode replies). */
         double compressibility = 0.0;
         /** Verified plaintext bytes (null in timing-only mode). */
-        std::shared_ptr<const std::vector<std::uint8_t>> plain;
+        SharedBytes plain;
     };
 
     /** Cumulative counters (aggregated over cards for MultiCard). */

@@ -221,10 +221,8 @@ MiddleTierServer::encodeShards(const ServerConfig &config, std::uint64_t tag,
             p.data = memo->shard(block.blockId - 1, s);
             p.ecShardChecksum = memo->checksum(block.blockId - 1, s);
         } else if (!encoded.empty()) {
-            auto bytes = std::make_shared<std::vector<std::uint8_t>>(
-                std::move(encoded[s]));
-            p.ecShardChecksum = xxhash32(*bytes);
-            p.data = std::move(bytes);
+            p.data = shareBytes(std::move(encoded[s]));
+            p.ecShardChecksum = xxhash32(*p.data);
         }
     }
     noteStripe(tag, n);
@@ -286,8 +284,7 @@ replyTo(const net::Message &req, net::MessageKind kind)
 }
 
 net::Message
-readReply(const net::Message &req, Bytes size,
-          std::shared_ptr<const std::vector<std::uint8_t>> data,
+readReply(const net::Message &req, Bytes size, SharedBytes data,
           double compressibility)
 {
     net::Message reply = replyTo(req, net::MessageKind::ReadReply);
@@ -323,22 +320,22 @@ fetchFrom(const net::Message &req, net::NodeId target, Bytes size_hint)
  * decompression is a lookup. Latency-sensitive writes store the block
  * uncompressed.
  */
-std::shared_ptr<const std::vector<std::uint8_t>>
-openBlock(const net::Message &stored, const std::vector<std::uint8_t> &bytes,
-          Bytes plain_size, const corpus::BlockCodecCache *cache)
+SharedBytes
+openBlock(const net::Message &stored, ByteView bytes, Bytes plain_size,
+          const corpus::BlockCodecCache *cache)
 {
     const corpus::BlockCodecCache::Entry *cached =
         cache ? cache->lookupCompressed(stored.payload.blockId, bytes.data(),
                                         bytes.size())
               : nullptr;
-    std::shared_ptr<const std::vector<std::uint8_t>> plain;
+    SharedBytes plain;
     if (cached)
         plain = cached->plain;
     else if (auto raw = stored.payload.compressed
                             ? lz4::decompress(bytes, plain_size)
-                            : std::optional(bytes))
-        plain = std::make_shared<const std::vector<std::uint8_t>>(
-            std::move(*raw));
+                            : std::optional(std::vector<std::uint8_t>(
+                                  bytes.begin(), bytes.end())))
+        plain = shareBytes(std::move(*raw));
     else
         return nullptr;
     if (stored.headerData) {
@@ -549,15 +546,14 @@ RequestEngine::compressBlock(const WriteJob &job) const
     }
     // Corpus-backed payloads resolve to the precomputed compressed buffer
     // (hash-guarded: mutated bytes fall through to the codec).
-    const std::vector<std::uint8_t> &plain = *msg.payload.data;
+    const ByteView plain = *msg.payload.data;
     const corpus::BlockCodecCache::Entry *cached =
         config_.blockCache
             ? config_.blockCache->lookupPlain(msg.payload.blockId,
                                               plain.data(), plain.size())
             : nullptr;
     block.data = cached ? cached->compressed
-                        : std::make_shared<const std::vector<std::uint8_t>>(
-                              lz4::compress(plain, config_.effort));
+                        : shareBytes(lz4::compress(plain, config_.effort));
     block.size = block.data->size();
     return block;
 }
@@ -755,11 +751,12 @@ RequestEngine::assembleStripe(Front &, const net::Message &msg,
     VerifiedBlock out;
     if (shard_msgs.empty() || !shard_msgs.front().payload.data)
         co_return out; // timing-only stripe: nothing to reassemble
-    std::vector<std::pair<unsigned, const std::vector<std::uint8_t> *>>
-        pairs;
+    std::vector<std::pair<unsigned, ByteView>> pairs;
     pairs.reserve(shard_idx.size());
-    for (std::size_t i = 0; i < shard_idx.size(); ++i)
-        pairs.emplace_back(shard_idx[i], shard_msgs[i].payload.data.get());
+    for (std::size_t i = 0; i < shard_idx.size(); ++i) {
+        const SharedBytes &bytes = shard_msgs[i].payload.data;
+        pairs.emplace_back(shard_idx[i], bytes ? *bytes : ByteView());
+    }
     const net::Message &stored = shard_msgs.front();
     if (const auto stripe = ecCodec(config_).decode(pairs, stripe_bytes))
         out.plain = openBlock(stored, *stripe,

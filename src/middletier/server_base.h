@@ -525,7 +525,7 @@ class RequestEngine : public MiddleTierServer
     {
         bool corrupt = false;
         /** Decompressed plaintext (null for timing-only payloads). */
-        std::shared_ptr<const std::vector<std::uint8_t>> plain;
+        SharedBytes plain;
     };
 
     /** What a VM reply carries (an unserved read's is header-only). */
@@ -658,7 +658,7 @@ class RequestEngine : public MiddleTierServer
         /** Plain bytes the reply carries. */
         Bytes plain = 0;
         double compressibility = 0.0;
-        std::shared_ptr<const std::vector<std::uint8_t>> data;
+        SharedBytes data;
     };
 
     /** One dispatched request, served on its own process. */

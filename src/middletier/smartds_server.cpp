@@ -353,10 +353,10 @@ SmartDsServer::verifyReplica(Front &front, const net::Message &msg,
                            stored->blockChecksum);
     }
     if (!out.corrupt && readCache_ && w.dRecv->bytes())
-        out.plain = std::make_shared<const std::vector<std::uint8_t>>(
+        out.plain = shareBytes(std::vector<std::uint8_t>(
             w.dRecv->bytes()->begin(),
             w.dRecv->bytes()->begin() +
-                static_cast<std::ptrdiff_t>(plain.size()));
+                static_cast<std::ptrdiff_t>(plain.size())));
     co_return out;
 }
 

@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/shared_bytes.h"
 #include "common/units.h"
 #include "trace/context.h"
 
@@ -51,9 +52,11 @@ struct Payload
 
     /**
      * Functional bytes (corpus block or compressed buffer) when the path
-     * verifies data end-to-end; null on the pure timing paths.
+     * verifies data end-to-end; null on the pure timing paths. A view:
+     * corpus-backed bytes alias the codec cache's arenas, fresh bytes
+     * come from shareBytes().
      */
-    std::shared_ptr<const std::vector<std::uint8_t>> data;
+    SharedBytes data;
 
     /**
      * Compressed/original ratio the block would compress to (drawn from
@@ -100,6 +103,9 @@ struct Payload
     std::uint32_t ecShardChecksum = 0;
     Bytes ecStripeBytes = 0;
 };
+
+// Every stored shard and every message copies a Payload.
+static_assert(sizeof(Payload) == 72, "Payload grew");
 
 /** A message in flight on the fabric. */
 struct Message

@@ -304,19 +304,16 @@ SmartDsDevice::stripeMemo(unsigned k, unsigned m)
     return *stripes_;
 }
 
-std::shared_ptr<const std::vector<std::uint8_t>>
+SharedBytes
 SmartDsDevice::cachedBytes(const Buffer &d, Bytes size)
 {
     const BufferContent &c = d.content;
     if (!config_.blockCache || c.blockId == 0)
         return nullptr;
     const std::uint8_t *data = d.bytes()->data();
-    if (c.ecK > 0) {
-        const auto *shard =
-            stripeMemo(c.ecK, c.ecM).lookupShard(c.blockId, c.ecShard, data,
-                                                 size);
-        return shard ? *shard : nullptr;
-    }
+    if (c.ecK > 0)
+        return stripeMemo(c.ecK, c.ecM).lookupShard(c.blockId, c.ecShard,
+                                                    data, size);
     const corpus::BlockCodecCache::Entry *cached =
         c.compressed ? config_.blockCache->lookupCompressed(c.blockId, data,
                                                             size)
@@ -365,11 +362,10 @@ SmartDsDevice::mixedSend(const Qp &qp, BufferRef h, Bytes h_size,
             // the copy would carry.
             msg.payload.data = cachedBytes(*d, d_size);
             if (!msg.payload.data)
-                msg.payload.data =
-                    std::make_shared<const std::vector<std::uint8_t>>(
-                        d->bytes()->begin(),
-                        d->bytes()->begin() +
-                            static_cast<std::ptrdiff_t>(d_size));
+                msg.payload.data = shareBytes(std::vector<std::uint8_t>(
+                    d->bytes()->begin(),
+                    d->bytes()->begin() +
+                        static_cast<std::ptrdiff_t>(d_size)));
         }
     }
     if (config_.functional && h && h->bytes()) {
@@ -441,7 +437,7 @@ SmartDsDevice::devFunc(BufferRef src, Bytes src_size, BufferRef dst,
     std::vector<std::uint8_t> result_bytes;
     // Cache hit: the result is a shared immutable buffer instead of
     // freshly coded bytes (the writeback below reads from either).
-    std::shared_ptr<const std::vector<std::uint8_t>> result_shared;
+    SharedBytes result_shared;
     const std::uint32_t block_id = src->content.blockId;
 
     std::uint64_t completion_value = 0;
@@ -717,20 +713,16 @@ SmartDsDevice::ecDecode(
 
     std::vector<std::uint8_t> result;
     if (config_.functional) {
-        // Copy each shard out of its (reusable) HBM buffer, then decode.
-        std::vector<std::vector<std::uint8_t>> staged;
-        staged.reserve(shards.size());
-        std::vector<std::pair<unsigned, const std::vector<std::uint8_t> *>>
-            present;
+        // Decode straight from views of the HBM shard buffers: the decode
+        // runs now, before any of them can be reused.
+        std::vector<std::pair<unsigned, ByteView>> present;
+        present.reserve(shards.size());
         for (const auto &[index, buf] : shards) {
             if (!buf || !buf->bytes() ||
                 buf->bytes()->size() < shard_bytes)
                 continue;
-            staged.emplace_back(
-                buf->bytes()->begin(),
-                buf->bytes()->begin() +
-                    static_cast<std::ptrdiff_t>(shard_bytes));
-            present.emplace_back(index, &staged.back());
+            present.emplace_back(index,
+                                 ByteView(buf->bytes()->data(), shard_bytes));
         }
         ec::RsCodec codec(k, m);
         auto stripe = codec.decode(present, stripe_bytes);

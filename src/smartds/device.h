@@ -307,8 +307,7 @@ class SmartDsDevice
      * plain or compressed block, or the memo shard of an RS shard. Null
      * unless the hash guard proves the bytes equal.
      */
-    std::shared_ptr<const std::vector<std::uint8_t>>
-    cachedBytes(const Buffer &d, Bytes size);
+    SharedBytes cachedBytes(const Buffer &d, Bytes size);
 
     net::Fabric &fabric_;
     sim::Simulator &sim_;

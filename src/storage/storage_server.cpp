@@ -84,12 +84,12 @@ StorageServer::finishReplica(net::Message msg)
     if (faults_ && faults_->corruptBlock()) {
         stored.corrupted = true;
         if (stored.data && !stored.data->empty()) {
-            auto flipped =
-                std::make_shared<std::vector<std::uint8_t>>(*stored.data);
+            std::vector<std::uint8_t> flipped(stored.data->begin(),
+                                              stored.data->end());
             const std::size_t bit =
-                faults_->corruptBitIndex(flipped->size() * 8);
-            (*flipped)[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-            stored.data = std::move(flipped);
+                faults_->corruptBitIndex(flipped.size() * 8);
+            flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            stored.data = shareBytes(std::move(flipped));
         }
         if (!config_.functionalStore)
             corruptTags_.insert(msg.tag);

@@ -194,12 +194,12 @@ runWriteExperiment(const ExperimentConfig &config)
     trace::Tracer *const tracer = tracers.empty() ? nullptr
                                                   : tracers.front().get();
 
-    const corpus::RatioSampler &ratios =
-        cachedRatios(config.effort, config.blockBytes);
-
     // Functional mode: real corpus bytes flow end to end; the codec
     // cache (on by default, `blockCache = false` to force the real codec
     // per request) only changes wall-clock cost, never results.
+    // Functional clients draw whole corpus blocks and never sample a
+    // ratio, so only timing runs build the sampler.
+    const corpus::RatioSampler *ratios = nullptr;
     const corpus::BlockCodecCache *block_cache = nullptr;
     if (config.functional && config.blockCache) {
         block_cache = &corpus::sharedBlockCache(
@@ -209,6 +209,8 @@ runWriteExperiment(const ExperimentConfig &config)
         // inside the first write's timed pass.
         if (ec)
             block_cache->stripes(config.ecDataShards, config.ecParityShards);
+    } else if (!config.functional) {
+        ratios = &cachedRatios(config.effort, config.blockBytes);
     }
 
     // --- Storage pool ----------------------------------------------------
@@ -419,7 +421,7 @@ runWriteExperiment(const ExperimentConfig &config)
         cc.targetQp = server->frontQp(port);
         cc.outstanding = config.outstandingPerClient;
         cc.blockBytes = config.blockBytes;
-        cc.ratios = &ratios;
+        cc.ratios = ratios;
         if (block_cache)
             cc.blockCache = block_cache;
         else if (config.functional)
@@ -471,7 +473,15 @@ runWriteExperiment(const ExperimentConfig &config)
     result.p50LatencyUs = metrics.latency.p50Us();
     result.p99LatencyUs = metrics.latency.p99Us();
     result.p999LatencyUs = metrics.latency.p999Us();
-    result.meanCompressionRatio = ratios.mean();
+    // A functional run reports the exact expectation under its clients'
+    // uniform draw of corpus blocks, with the codec cache or without.
+    if (block_cache)
+        result.meanCompressionRatio = block_cache->meanRatio();
+    else if (config.functional)
+        result.meanCompressionRatio = corpus::meanBlockRatio(
+            functionalCorpus(), config.blockBytes, config.effort);
+    else
+        result.meanCompressionRatio = ratios->mean();
 
     const double window_s = toSeconds(config.window);
     for (std::size_t i = 0; i < probes.probes.size(); ++i) {

@@ -313,7 +313,11 @@ struct ExperimentResult
     /** MLC injector achieved bandwidth, GB/s (0 when off). */
     double mlcGBps = 0.0;
 
-    /** Mean compression ratio of the corpus the run used. */
+    /**
+     * Mean compression ratio of the corpus the run used: the mean over
+     * every block of the functional corpus for functional runs (equal
+     * with the codec cache on or off), the ratio sampler's otherwise.
+     */
     double meanCompressionRatio = 0.0;
 
     /** Distinct chunks the run touched (0 when the manager is off). */

@@ -152,9 +152,8 @@ VmClient::issuer(unsigned index)
                 } else {
                     const std::uint8_t *src = config_.corpus->blockPtr(
                         config_.blockBytes, corpus_block);
-                    msg.payload.data =
-                        std::make_shared<const std::vector<std::uint8_t>>(
-                            src, src + config_.blockBytes);
+                    msg.payload.data = shareBytes(std::vector<std::uint8_t>(
+                        src, src + config_.blockBytes));
                     msg.payload.compressibility = lz4::compressionRatio(
                         src, config_.blockBytes, config_.effort);
                     hdr.blockChecksum = xxhash32(src, config_.blockBytes);

@@ -100,8 +100,7 @@ TEST_F(ApiFixture, Listing1FlowEndToEnd)
     msg.headerBytes = 64;
     msg.tag = 42;
     msg.payload.size = 4096;
-    msg.payload.data =
-        std::make_shared<const std::vector<std::uint8_t>>(block);
+    msg.payload.data = shareBytes(std::vector<std::uint8_t>(block));
     vm->send(std::move(msg));
     sim.run();
 

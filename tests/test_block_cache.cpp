@@ -38,15 +38,32 @@ namespace {
 
 constexpr std::size_t blockBytes = 4096;
 
+/** A copy of @p view's bytes, for comparing with vectors. */
+std::vector<std::uint8_t>
+bytesOf(ByteView view)
+{
+    return {view.begin(), view.end()};
+}
+
 TEST(BlockCodecCache, EntriesMatchTheRealCodec)
 {
     const SyntheticCorpus corpus(1u << 20, 42);
     const BlockCodecCache cache(corpus, blockBytes, /*effort=*/2);
     ASSERT_EQ(cache.blocks(), corpus.blockCount(blockBytes));
 
+    // The compressed slots lie back to back in one arena, each followed
+    // by slotSlack zero bytes.
+    const std::uint8_t *next_slot = cache.entry(0).compressed->data();
+    double ratio_sum = 0.0;
     for (std::size_t i = 0; i < cache.blocks(); ++i) {
         const BlockCodecCache::Entry &e = cache.entry(i);
         const std::uint8_t *src = corpus.blockPtr(blockBytes, i);
+
+        ASSERT_EQ(e.compressed->data(), next_slot) << "block " << i;
+        for (std::size_t b = 0; b < BlockCodecCache::slotSlack; ++b)
+            ASSERT_EQ(e.compressed->data()[e.compressed->size() + b], 0);
+        next_slot += e.compressed->size() + BlockCodecCache::slotSlack;
+        ratio_sum += e.ratio;
 
         ASSERT_TRUE(e.plain && e.compressed);
         ASSERT_EQ(e.plain->size(), blockBytes);
@@ -57,7 +74,7 @@ TEST(BlockCodecCache, EntriesMatchTheRealCodec)
             lz4::compress(src, blockBytes, out.data(), out.size(), 2);
         ASSERT_TRUE(n.has_value());
         out.resize(*n);
-        EXPECT_EQ(*e.compressed, out);
+        EXPECT_EQ(bytesOf(*e.compressed), out);
 
         EXPECT_EQ(e.ratio, lz4::compressionRatio(src, blockBytes, 2));
         EXPECT_EQ(e.plainChecksum, xxhash32(src, blockBytes));
@@ -65,8 +82,11 @@ TEST(BlockCodecCache, EntriesMatchTheRealCodec)
 
         const auto plain = lz4::decompress(*e.compressed, blockBytes);
         ASSERT_TRUE(plain.has_value());
-        EXPECT_EQ(*plain, *e.plain);
+        EXPECT_EQ(*plain, bytesOf(*e.plain));
     }
+    EXPECT_EQ(cache.meanRatio(),
+              ratio_sum / static_cast<double>(cache.blocks()));
+    EXPECT_EQ(cache.meanRatio(), meanBlockRatio(corpus, blockBytes, 2));
 }
 
 TEST(BlockCodecCache, GuardRejectsMutatedOrMiskeyedBytes)
@@ -83,12 +103,12 @@ TEST(BlockCodecCache, GuardRejectsMutatedOrMiskeyedBytes)
 
     // Equal content at a different address hits via the hash guard (the
     // DMA-copied-through-a-device-buffer case).
-    const std::vector<std::uint8_t> copy(*e.compressed);
+    const std::vector<std::uint8_t> copy = bytesOf(*e.compressed);
     EXPECT_EQ(&e, cache.lookupCompressed(id, copy.data(), copy.size()));
 
     // A single flipped bit must miss: this is the corruption guard that
     // keeps fault injection observable through the cache.
-    std::vector<std::uint8_t> flipped(*e.compressed);
+    std::vector<std::uint8_t> flipped = bytesOf(*e.compressed);
     flipped[flipped.size() / 2] ^= 0x10;
     EXPECT_EQ(nullptr,
               cache.lookupCompressed(id, flipped.data(), flipped.size()));
@@ -107,10 +127,10 @@ TEST(BlockCodecCache, GuardRejectsMutatedOrMiskeyedBytes)
 
 TEST(BlockCodecCache, AliasedBlocksOutliveTheCache)
 {
-    // Payloads hold aliased shared_ptrs into cache-owned storage; ASan
-    // verifies the storage stays alive after the cache itself is gone.
-    std::shared_ptr<const std::vector<std::uint8_t>> plain;
-    std::shared_ptr<const std::vector<std::uint8_t>> compressed;
+    // Payloads hold aliased shared_ptrs into cache-owned arenas; ASan
+    // verifies the arenas stay alive after the cache itself is gone.
+    SharedBytes plain;
+    SharedBytes compressed;
     std::uint32_t checksum = 0;
     {
         const SyntheticCorpus corpus(1u << 20, 7);
@@ -124,7 +144,7 @@ TEST(BlockCodecCache, AliasedBlocksOutliveTheCache)
     EXPECT_EQ(xxhash32(*plain), checksum);
     const auto decoded = lz4::decompress(*compressed, blockBytes);
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, *plain);
+    EXPECT_EQ(*decoded, bytesOf(*plain));
 }
 
 TEST(BlockCodecCache, SharedRegistryReturnsOneTablePerKey)
@@ -142,27 +162,65 @@ TEST(BlockCodecCache, SharedRegistryReturnsOneTablePerKey)
 // The RS stripe memo
 // ---------------------------------------------------------------------
 
+/**
+ * Every shard of every block of @p cache against RsCodec(@p k, @p m)
+ * .encode: same bytes, same xxHash32. Data shards must be views of their
+ * block's compressed slot, except a shard whose pad runs past the slot
+ * slack; such shards and the parity lie back to back, block-major, in the
+ * table's own arena, outside the compressed one. Returns the number of
+ * such owned data shards.
+ */
+std::size_t
+checkStripeLayout(const BlockCodecCache &cache, unsigned k, unsigned m)
+{
+    const StripeTable &memo = cache.stripes(k, m);
+    const ec::RsCodec codec(k, m);
+    const ByteView last = *cache.entry(cache.blocks() - 1).compressed;
+    const std::uint8_t *const compressed_begin =
+        cache.entry(0).compressed->data();
+    const std::uint8_t *const compressed_end =
+        last.data() + last.size() + BlockCodecCache::slotSlack;
+    const std::uint8_t *next_owned = nullptr;
+    std::size_t owned_data = 0;
+    for (std::size_t b = 0; b < cache.blocks(); ++b) {
+        const ByteView stripe = *cache.entry(b).compressed;
+        const std::size_t shard = ec::RsCodec::shardSize(stripe.size(), k);
+        const auto want = codec.encode(stripe.data(), stripe.size());
+        for (unsigned s = 0; s < k + m; ++s) {
+            const ByteView got = *memo.shard(b, s);
+            EXPECT_EQ(bytesOf(got), want[s])
+                << "block " << b << " shard " << s;
+            EXPECT_EQ(memo.checksum(b, s), xxhash32(want[s]))
+                << "block " << b << " shard " << s;
+            const bool fits =
+                (s + 1) * shard <= stripe.size() + BlockCodecCache::slotSlack;
+            if (s < k && fits) {
+                EXPECT_EQ(got.data(), stripe.data() + s * shard)
+                    << "block " << b << " shard " << s;
+                continue;
+            }
+            EXPECT_TRUE(got.data() + got.size() <= compressed_begin ||
+                        got.data() >= compressed_end)
+                << "block " << b << " shard " << s;
+            if (next_owned) {
+                EXPECT_EQ(got.data(), next_owned)
+                    << "block " << b << " shard " << s;
+            }
+            next_owned = got.data() + got.size();
+            owned_data += s < k;
+        }
+    }
+    return owned_data;
+}
+
 TEST(StripeTable, ShardsAndChecksumsMatchTheRealCodec)
 {
     const SyntheticCorpus corpus(1u << 20, 42);
     const BlockCodecCache cache(corpus, blockBytes, 1);
     for (const auto &[k, m] : {std::pair{4u, 2u}, std::pair{8u, 3u}}) {
-        const StripeTable &memo = cache.stripes(k, m);
-        ASSERT_EQ(memo.k(), k);
-        ASSERT_EQ(memo.m(), m);
-        const ec::RsCodec codec(k, m);
-        for (std::size_t b = 0; b < cache.blocks(); ++b) {
-            const std::vector<std::uint8_t> &stripe =
-                *cache.entry(b).compressed;
-            const auto shards = codec.encode(stripe.data(), stripe.size());
-            for (unsigned s = 0; s < k + m; ++s) {
-                ASSERT_TRUE(memo.shard(b, s));
-                EXPECT_EQ(*memo.shard(b, s), shards[s])
-                    << "RS(" << k << ", " << m << ") block " << b
-                    << " shard " << s;
-                EXPECT_EQ(memo.checksum(b, s), xxhash32(shards[s]));
-            }
-        }
+        ASSERT_EQ(cache.stripes(k, m).k(), k);
+        ASSERT_EQ(cache.stripes(k, m).m(), m);
+        EXPECT_EQ(checkStripeLayout(cache, k, m), 0u);
     }
 }
 
@@ -188,14 +246,16 @@ TEST(StripeTable, GuardRejectsMutatedOrMiskeyedShards)
     const StripeTable &memo = cache.stripes(4, 2);
     const std::uint32_t id = 4; // blockId is 1-based
     const unsigned s = 5;       // a parity shard
-    const StripeTable::Shard &want = memo.shard(id - 1, s);
+    const StripeTable::Shard want = memo.shard(id - 1, s);
 
-    // The memo's own buffer, and equal bytes elsewhere, both hit.
-    EXPECT_EQ(&want, memo.lookupShard(id, s, want->data(), want->size()));
-    const std::vector<std::uint8_t> copy(*want);
-    EXPECT_EQ(&want, memo.lookupShard(id, s, copy.data(), copy.size()));
+    // The memo's own view, and equal bytes elsewhere, both hit.
+    EXPECT_EQ(want.get(),
+              memo.lookupShard(id, s, want->data(), want->size()).get());
+    const std::vector<std::uint8_t> copy = bytesOf(*want);
+    EXPECT_EQ(want.get(),
+              memo.lookupShard(id, s, copy.data(), copy.size()).get());
 
-    std::vector<std::uint8_t> flipped(*want);
+    std::vector<std::uint8_t> flipped = bytesOf(*want);
     flipped[flipped.size() / 3] ^= 0x04;
     EXPECT_EQ(nullptr,
               memo.lookupShard(id, s, flipped.data(), flipped.size()));
@@ -209,6 +269,37 @@ TEST(StripeTable, GuardRejectsMutatedOrMiskeyedShards)
               memo.lookupShard(static_cast<std::uint32_t>(cache.blocks()) + 1,
                                s, copy.data(), copy.size()));
     EXPECT_EQ(nullptr, memo.lookupShard(id, s, copy.data(), copy.size() - 1));
+}
+
+TEST(BlockCodecCache, AdoptingTheCorpusEqualsCopyingIt)
+{
+    const SyntheticCorpus corpus(1u << 20, 42);
+    const BlockCodecCache copied(corpus, blockBytes, 1);
+    const BlockCodecCache adopted(SyntheticCorpus(1u << 20, 42), blockBytes, 1);
+    ASSERT_EQ(adopted.blocks(), copied.blocks());
+    for (std::size_t i = 0; i < adopted.blocks(); ++i) {
+        const BlockCodecCache::Entry &a = adopted.entry(i);
+        const BlockCodecCache::Entry &c = copied.entry(i);
+        EXPECT_EQ(0, std::memcmp(a.plain->data(),
+                                 corpus.blockPtr(blockBytes, i), blockBytes));
+        EXPECT_EQ(bytesOf(*a.compressed), bytesOf(*c.compressed));
+        EXPECT_EQ(a.ratio, c.ratio);
+        EXPECT_EQ(a.plainChecksum, c.plainChecksum);
+        EXPECT_EQ(a.compressedChecksum, c.compressedChecksum);
+    }
+    EXPECT_EQ(adopted.meanRatio(), copied.meanRatio());
+}
+
+TEST(StripeTable, DataShardsAreViewsOfTheCompressedArena)
+{
+    // The functional runs' cache: the 8 MiB corpus at effort 8.
+    const BlockCodecCache cache(SyntheticCorpus(8u << 20, 42), blockBytes, 8);
+    ASSERT_EQ(cache.blocks(), 2048u);
+    // RS(4, 2) pads by at most 3 bytes: every data shard is a view.
+    EXPECT_EQ(checkStripeLayout(cache, 4, 2), 0u);
+    // RS(20, 4) pads by up to 19 bytes, past the 16-byte slack for some
+    // blocks: their last data shard gets bytes of its own.
+    EXPECT_GT(checkStripeLayout(cache, 20, 4), 0u);
 }
 
 TEST(StripeTable, AliasedShardsOutliveTheCache)
@@ -286,6 +377,21 @@ TEST(BlockCacheEndToEnd, FaultInjectionResultsIdenticalCacheOnAndOff)
         EXPECT_GT(on.blocksCorrupted, 0u);
         EXPECT_EQ(resultKey(on), resultKey(off));
     }
+}
+
+TEST(BlockCacheEndToEnd, FunctionalRunReportsTheCorpusMeanRatio)
+{
+    // Clients draw corpus blocks uniformly, so the run's expected ratio is
+    // the mean over every block: the cache's mean, and the same number
+    // without the cache.
+    const auto on = runFunctional(middletier::Design::CpuOnly, true, 0.0, 0.0);
+    const auto off =
+        runFunctional(middletier::Design::CpuOnly, false, 0.0, 0.0);
+    const double want =
+        meanBlockRatio(SyntheticCorpus(8u << 20, 42), blockBytes, 1);
+    EXPECT_EQ(want, sharedBlockCache(8u << 20, 42, blockBytes, 1).meanRatio());
+    EXPECT_EQ(on.meanCompressionRatio, want);
+    EXPECT_EQ(off.meanCompressionRatio, want);
 }
 
 /** An RS(4, 2) functional run, which serves corpus shards from the memo. */
@@ -371,8 +477,9 @@ TEST(BlockCacheEndToEnd, BitFlippedReplicaMissesCacheAndIsDetected)
     // Replicas 0 and 1 hold a bit-flipped copy of the cached compressed
     // block — same blockId, mutated bytes, exactly what the fault layer
     // produces. Replica 2 is clean.
-    auto flipped = std::make_shared<std::vector<std::uint8_t>>(*e.compressed);
-    (*flipped)[0] ^= 0x01;
+    std::vector<std::uint8_t> flipped_bytes = bytesOf(*e.compressed);
+    flipped_bytes[0] ^= 0x01;
+    const SharedBytes flipped = shareBytes(std::move(flipped_bytes));
 
     constexpr std::uint64_t tag = 777;
     StorageHeader hdr;
@@ -487,7 +594,7 @@ readThroughFlippedShards(MakeServer make_server)
             return;
         ++replies;
         ASSERT_TRUE(msg.payload.data);
-        EXPECT_EQ(*msg.payload.data, *e.plain);
+        EXPECT_EQ(bytesOf(*msg.payload.data), bytesOf(*e.plain));
     });
 
     for (unsigned s = 0; s < 6; ++s) {
@@ -499,10 +606,9 @@ readThroughFlippedShards(MakeServer make_server)
         w.tag = tag;
         w.payload.data = memo.shard(block, s);
         if (s < 2) {
-            auto flipped =
-                std::make_shared<std::vector<std::uint8_t>>(*w.payload.data);
-            (*flipped)[s * 7] ^= 0x20;
-            w.payload.data = std::move(flipped);
+            std::vector<std::uint8_t> flipped = bytesOf(*w.payload.data);
+            flipped[s * 7] ^= 0x20;
+            w.payload.data = shareBytes(std::move(flipped));
         }
         w.payload.size = w.payload.data->size();
         w.payload.compressed = true;

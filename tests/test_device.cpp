@@ -66,8 +66,7 @@ TEST_F(DeviceFixture, SplitPutsHeaderInHostAndPayloadInDevice)
     msg.headerData =
         std::make_shared<const std::vector<std::uint8_t>>(header);
     msg.payload.size = 4096;
-    msg.payload.data =
-        std::make_shared<const std::vector<std::uint8_t>>(payload);
+    msg.payload.data = shareBytes(std::vector<std::uint8_t>(payload));
     client->send(std::move(msg));
     sim.run();
 

@@ -78,8 +78,7 @@ TEST_P(SplitRoundTrip, SplitCompressAssemblePreservesBytes)
     msg.headerData =
         std::make_shared<const std::vector<std::uint8_t>>(header);
     msg.payload.size = payload_size;
-    msg.payload.data =
-        std::make_shared<const std::vector<std::uint8_t>>(payload);
+    msg.payload.data = shareBytes(std::vector<std::uint8_t>(payload));
     client->send(std::move(msg));
     sim.run();
 

@@ -247,8 +247,7 @@ TEST(EncodeShards, FunctionalShardsCarryChecksumsAndDecode)
 
     const auto block = randomStripe(3000, 21);
     net::Payload payload;
-    payload.data =
-        std::make_shared<const std::vector<std::uint8_t>>(block);
+    payload.data = shareBytes(std::vector<std::uint8_t>(block));
     payload.size = block.size();
     payload.originalSize = 4096;
     payload.compressed = true;
@@ -257,8 +256,7 @@ TEST(EncodeShards, FunctionalShardsCarryChecksumsAndDecode)
     ASSERT_EQ(shards.size(), 6u);
     EXPECT_EQ(probe.stats().stripesEncoded, 1u);
 
-    std::vector<std::pair<unsigned, const std::vector<std::uint8_t> *>>
-        pairs;
+    std::vector<std::pair<unsigned, ByteView>> pairs;
     for (unsigned s = 0; s < 6; ++s) {
         ASSERT_TRUE(shards[s].data);
         EXPECT_EQ(shards[s].ecK, 4u);
@@ -269,7 +267,7 @@ TEST(EncodeShards, FunctionalShardsCarryChecksumsAndDecode)
         EXPECT_EQ(shards[s].size, shards[s].data->size());
         EXPECT_EQ(shards[s].ecShardChecksum, xxhash32(*shards[s].data));
         if (s != 1 && s != 4) // drop one data + one parity shard
-            pairs.emplace_back(s, shards[s].data.get());
+            pairs.emplace_back(s, *shards[s].data);
     }
     const auto back =
         probe.ecCodec(config).decode(pairs, block.size());

@@ -434,7 +434,7 @@ TEST(EcRecovery, CpuOnlyDegradedReadSurvivesDomainCrashByteForByte)
             return;
         ++read_replies;
         ASSERT_TRUE(msg.payload.data);
-        EXPECT_EQ(*msg.payload.data, *entry.plain); // byte for byte
+        EXPECT_TRUE(std::ranges::equal(*msg.payload.data, *entry.plain));
     });
 
     net::Message w = craftWrite(bed, /*tag=*/42, block);
@@ -487,7 +487,7 @@ TEST(EcRecovery, SmartDsDegradedReadSurvivesDomainCrashByteForByte)
             return;
         ++read_replies;
         ASSERT_TRUE(msg.payload.data);
-        EXPECT_EQ(*msg.payload.data, *entry.plain); // byte for byte
+        EXPECT_TRUE(std::ranges::equal(*msg.payload.data, *entry.plain));
     });
 
     net::Message w = craftWrite(bed, /*tag=*/43, block);

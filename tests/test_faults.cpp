@@ -233,7 +233,7 @@ struct FaultTestbed
                         continue;
                     plain = std::move(*d);
                 } else {
-                    plain = *p->data;
+                    plain.assign(p->data->begin(), p->data->end());
                 }
                 EXPECT_EQ(xxhash32(plain), hdr.blockChecksum)
                     << "tag " << tag;
@@ -316,10 +316,8 @@ TEST(FaultTolerance, CorruptedReadDetectedAndServedFromHealthyReplica)
         bed.corpus.sampleBlock(4096, rng);
     if (wrong_plain == plain)
         wrong_plain[0] ^= 0xff;
-    const auto good = std::make_shared<const std::vector<std::uint8_t>>(
-        lz4::compress(plain, 1));
-    const auto bad = std::make_shared<const std::vector<std::uint8_t>>(
-        lz4::compress(wrong_plain, 1));
+    const SharedBytes good = shareBytes(lz4::compress(plain, 1));
+    const SharedBytes bad = shareBytes(lz4::compress(wrong_plain, 1));
     const std::uint32_t checksum = xxhash32(plain);
 
     constexpr std::uint64_t tag = 777;

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -72,16 +73,16 @@ struct TimeoutTestbed
                 return;
             ++replies;
             ASSERT_TRUE(msg.payload.data);
-            EXPECT_EQ(*msg.payload.data, plains.at(msg.tag));
+            EXPECT_TRUE(
+                std::ranges::equal(*msg.payload.data, plains.at(msg.tag)));
         });
 
         Rng rng(3);
         for (const std::uint64_t tag : {777u, 778u}) {
             const auto &plain = plains[tag] =
                 corpus.sampleBlock(blockBytes, rng);
-            const auto compressed =
-                std::make_shared<const std::vector<std::uint8_t>>(
-                    lz4::compress(plain, 1));
+            const SharedBytes compressed =
+                shareBytes(lz4::compress(plain, 1));
             StorageHeader hdr;
             hdr.tag = tag;
             hdr.payloadSize = blockBytes;

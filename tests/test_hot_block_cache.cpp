@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -43,7 +44,7 @@ HotBlockCache::Entry
 entryOf(Bytes size)
 {
     return {size, 0.5,
-            std::make_shared<const std::vector<std::uint8_t>>(size, 0xab)};
+            shareBytes(std::vector<std::uint8_t>(size, 0xab))};
 }
 
 // ---------------------------------------------------------------------
@@ -167,7 +168,8 @@ struct CacheTestbed
             if (msg.kind != net::MessageKind::ReadReply)
                 return;
             ASSERT_TRUE(msg.payload.data);
-            readBytes.push_back(*msg.payload.data);
+            readBytes.emplace_back(msg.payload.data->begin(),
+                                   msg.payload.data->end());
         });
     }
 
@@ -188,12 +190,10 @@ struct CacheTestbed
                  const std::vector<std::uint8_t> &plain,
                  unsigned corrupt_replicas = 0)
     {
-        const auto good = std::make_shared<const std::vector<std::uint8_t>>(
-            lz4::compress(plain, 1));
+        const SharedBytes good = shareBytes(lz4::compress(plain, 1));
         std::vector<std::uint8_t> flipped_plain = plain;
         flipped_plain[0] ^= 0xff;
-        const auto bad = std::make_shared<const std::vector<std::uint8_t>>(
-            lz4::compress(flipped_plain, 1));
+        const SharedBytes bad = shareBytes(lz4::compress(flipped_plain, 1));
 
         StorageHeader hdr;
         hdr.vmId = vm_id;
@@ -261,8 +261,7 @@ struct CacheTestbed
         w.vmId = vm_id;
         w.blockOffset = block_offset;
         w.payload.size = plain.size();
-        w.payload.data =
-            std::make_shared<const std::vector<std::uint8_t>>(plain);
+        w.payload.data = shareBytes(std::vector<std::uint8_t>(plain));
         w.payload.compressibility =
             lz4::compressionRatio(plain.data(), plain.size(), 1);
         vm->send(std::move(w));
@@ -519,7 +518,8 @@ TEST(HotBlockCacheEndToEnd, EcDegradedReadIsCachedByteForByte)
         if (msg.kind != net::MessageKind::ReadReply)
             return;
         ASSERT_TRUE(msg.payload.data);
-        read_bytes.push_back(*msg.payload.data);
+        read_bytes.emplace_back(msg.payload.data->begin(),
+                                msg.payload.data->end());
     });
 
     StorageHeader hdr;
@@ -561,7 +561,7 @@ TEST(HotBlockCacheEndToEnd, EcDegradedReadIsCachedByteForByte)
 
     ASSERT_EQ(read_bytes.size(), reads);
     for (const auto &bytes : read_bytes)
-        EXPECT_EQ(bytes, *entry.plain); // byte for byte, hit or decode
+        EXPECT_TRUE(std::ranges::equal(bytes, *entry.plain)); // hit or decode
 
     const FailoverStats stats = server.failoverStats();
     EXPECT_GT(stats.degradedReads, 0u);

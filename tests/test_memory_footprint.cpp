@@ -7,6 +7,8 @@
  *   processes still suspended when the run ends are reclaimed.
  * - A functional SmartDS run stays under a committed live-heap budget and
  *   a committed number of heap allocations per completed request.
+ * - The codec cache and stripe memo that functional runs build once per
+ *   process stay under a committed live-heap budget.
  * - HBM reservations are accounting only: they charge the capacity
  *   budget, stay fatal on exhaustion and allocate no host bytes.
  * - The k + m shards of one SmartDS EC write share one header buffer,
@@ -273,6 +275,38 @@ TEST(MemoryFootprint, FunctionalRunAllocationsPerRequest)
                 static_cast<long long>(d.allocations),
                 static_cast<unsigned long long>(d.requests), per_request);
     EXPECT_LE(per_request, functionalAllocationsPerRequest);
+}
+
+/**
+ * Live heap the functional runs' process-level set-up holds: the codec
+ * cache of the 8 MiB corpus at effort 8 and its RS(4, 2) stripe memo.
+ * 14.55 MiB (15,252,160 bytes of glibc usable size) when this budget was
+ * set, which leaves 5%. It was 19.01 MiB (19,933,640) while the cache
+ * kept a vector per plain and per compressed block and the memo a vector
+ * per shard, its data shards a second copy of the compressed blocks.
+ */
+constexpr std::int64_t codecCacheSetUpBudget = 15640 * 1024;
+
+TEST(MemoryFootprint, CodecCacheSetUpHeapStaysInBudget)
+{
+    const auto mib = [](std::int64_t bytes) {
+        return static_cast<double>(bytes) / (1024.0 * 1024.0);
+    };
+    const std::int64_t before = heapInUse();
+    std::int64_t cache_only = 0;
+    std::int64_t held = 0;
+    {
+        const corpus::BlockCodecCache cache(
+            corpus::SyntheticCorpus(8u << 20, 42), 4096, 8);
+        cache_only = heapInUse() - before;
+        cache.stripes(4, 2);
+        held = heapInUse() - before;
+    }
+    std::printf("codec cache %.2f MiB + RS(4, 2) memo %.2f MiB = %.2f MiB "
+                "(%lld bytes) of live heap\n",
+                mib(cache_only), mib(held - cache_only), mib(held),
+                static_cast<long long>(held));
+    EXPECT_LE(held, codecCacheSetUpBudget);
 }
 
 TEST(MemoryFootprint, ReserveChargesCapacityWithoutBytes)

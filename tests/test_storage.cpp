@@ -84,8 +84,7 @@ TEST_F(StorageFixture, FunctionalStoreKeepsBytes)
     net::Port *mt = fabric.createPort("mt");
     mt->onReceive([](net::Message) {});
     auto msg = replica(server.nodeId(), 9, 100);
-    msg.payload.data = std::make_shared<const std::vector<std::uint8_t>>(
-        std::vector<std::uint8_t>(100, 0xab));
+    msg.payload.data = shareBytes(std::vector<std::uint8_t>(100, 0xab));
     mt->send(std::move(msg));
     sim.run();
     const net::Payload *p = server.storedBlock(9);
@@ -111,8 +110,7 @@ TEST_F(StorageFixture, FetchReturnsStoredBlock)
         }
     });
     auto w = replica(server.nodeId(), 3, 2222);
-    w.payload.data = std::make_shared<const std::vector<std::uint8_t>>(
-        std::vector<std::uint8_t>(2222, 7));
+    w.payload.data = shareBytes(std::vector<std::uint8_t>(2222, 7));
     mt->send(std::move(w));
     sim.runUntil(1 * ticksPerMillisecond);
 
